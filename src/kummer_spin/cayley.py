@@ -13,7 +13,8 @@ rank-8 module.
 from fractions import Fraction
 from itertools import combinations
 
-from .exact import IntMatrix, RatMatrix, rational_kernel
+from .exact import (IntMatrix, RatMatrix, in_span, primitive_vector,
+                    rational_kernel)
 
 NGEN = 8
 
@@ -106,14 +107,16 @@ class ExtRingElement:
         out = {}
         for m, c in self.coeffs.items():
             d = degree(m)
-            assert d % 2 == 0, "dual of an odd class is not used here"
+            if d % 2:
+                raise ValueError("dual of an odd class is not used here")
             out[m] = c if (d // 2) % 2 == 0 else -c
         return ExtRingElement(out)
 
     def exp(self):
         """Exponential of a nilpotent even element of degree >= 2."""
-        assert all(degree(m) >= 2 and degree(m) % 2 == 0
-                   for m in self.coeffs), "exp needs even positive degree"
+        if not all(degree(m) >= 2 and degree(m) % 2 == 0
+                   for m in self.coeffs):
+            raise ValueError("exp needs even positive degree")
         total = ExtRingElement.scalar(1)
         power = ExtRingElement.scalar(1)
         k = 1
@@ -154,8 +157,8 @@ class ChClass:
     def __init__(self, rank, ch):
         self.rank = int(rank)
         self.ch = ch
-        assert ch.graded_part(0) == ExtRingElement.scalar(rank), \
-            "degree-zero part must equal the rank"
+        if ch.graded_part(0) != ExtRingElement.scalar(rank):
+            raise ValueError("degree-zero part must equal the rank")
 
     def __add__(self, other):
         return ChClass(self.rank + other.rank, self.ch + other.ch)
@@ -207,7 +210,8 @@ def c2_end(b):
     if b.rank == 0:
         raise ValueError("c2 of endomorphisms needs nonzero rank")
     end = b.tensor(b.dual())
-    assert end.c1().is_zero()
+    if not end.c1().is_zero():
+        raise ValueError("first Chern class of the endomorphisms is nonzero")
     return -end.ch.graded_part(4)
 
 
@@ -226,7 +230,8 @@ def ext_to_wedge4(elt):
     """Coordinates of a degree-four element over the 70 sorted subsets."""
     out = [Fraction(0)] * 70
     for m, c in elt.coeffs.items():
-        assert degree(m) == 4
+        if degree(m) != 4:
+            raise ValueError("class is not of pure degree four")
         subset = tuple(i for i in range(8) if m & (1 << i))
         out[WEDGE4_INDEX[subset]] = c
     return tuple(out)
@@ -242,78 +247,70 @@ def cayley_class(big_n):
     return ext_to_wedge4(elt)
 
 
-def _det4(r0, r1, r2, r3):
-    """4x4 determinant by two-row Laplace expansion."""
-    a01 = r0[0] * r1[1] - r0[1] * r1[0]
-    a02 = r0[0] * r1[2] - r0[2] * r1[0]
-    a03 = r0[0] * r1[3] - r0[3] * r1[0]
-    a12 = r0[1] * r1[2] - r0[2] * r1[1]
-    a13 = r0[1] * r1[3] - r0[3] * r1[1]
-    a23 = r0[2] * r1[3] - r0[3] * r1[2]
-    b01 = r2[0] * r3[1] - r2[1] * r3[0]
-    b02 = r2[0] * r3[2] - r2[2] * r3[0]
-    b03 = r2[0] * r3[3] - r2[3] * r3[0]
-    b12 = r2[1] * r3[2] - r2[2] * r3[1]
-    b13 = r2[1] * r3[3] - r2[3] * r3[1]
-    b23 = r2[2] * r3[3] - r2[3] * r3[2]
-    return a01 * b23 - a02 * b13 + a03 * b12 + a12 * b03 - a13 * b02 + a23 * b01
+# A 4x4 minor is the Laplace sum along its first two rows: over the six
+# splits of its columns into halves (combinations order, signs + - + + - +),
+# the top rows' 2x2 minor on one half times the bottom rows' on the other.
+_PAIRS = tuple(combinations(range(8), 2))
+_PAIR_INDEX = {p: i for i, p in enumerate(_PAIRS)}
+_ROW_HALVES = tuple((_PAIR_INDEX[s[:2]], _PAIR_INDEX[s[2:]])
+                    for s in WEDGE4_SUBSETS)
+_COLUMN_SPLITS = tuple(
+    tuple(_PAIR_INDEX[half] for a, b in combinations(range(4), 2)
+          for half in ((s[a], s[b]),
+                       tuple(c for c in s if c not in (s[a], s[b]))))
+    for s in WEDGE4_SUBSETS)
 
 
 def wedge4_matrix(m8):
     """The induced 70x70 integer matrix of an 8x8 matrix on the fourth
-    wedge power (4x4 minors)."""
+    wedge power (4x4 minors), built from the table of its 2x2 minors."""
+    m = m8.data
+    minors = [[m[i][k] * m[j][l] - m[i][l] * m[j][k] for k, l in _PAIRS]
+              for i, j in _PAIRS]
     rows = []
-    for rws in WEDGE4_SUBSETS:
-        picked = [m8.data[i] for i in rws]
-        row = []
-        for cols in WEDGE4_SUBSETS:
-            subrows = [tuple(p[j] for j in cols) for p in picked]
-            row.append(_det4(*subrows))
-        rows.append(row)
-    return IntMatrix(rows)
+    for top, bottom in _ROW_HALVES:
+        u, v = minors[top], minors[bottom]
+        rows.append(tuple(
+            u[p0] * v[q0] - u[p1] * v[q1] + u[p2] * v[q2]
+            + u[p3] * v[q3] - u[p4] * v[q4] + u[p5] * v[q5]
+            for p0, q0, p1, q1, p2, q2, p3, q3, p4, q4, p5, q5
+            in _COLUMN_SPLITS))
+    return IntMatrix._wrap(tuple(rows))
 
 
 def invariant_rank(v_actions, expect_contains=None):
     """Exact rank and basis of the joint fixed space of the fourth wedge
     powers of the given 8x8 actions.
 
-    Returns (rank, basis) with basis a list of 70-coordinate tuples.  The
-    kernel is intersected incrementally: the first action cuts the full
-    space by ker(wedge4(g) - id) directly; each later action cuts the
-    current basis."""
+    Returns (rank, basis), the basis a list of 70-coordinate tuples of
+    Fractions in reduced echelon form with pivots taken from the last
+    coordinate: each vector's last nonzero coordinate is 1 and is 0 in
+    the others, which are sorted by it (a rank-1 basis ends in 1).
+
+    The first action cuts the full space by ker(wedge4(g) - id); each
+    later action cuts the current basis.  That working basis is kept
+    integral and primitive, so images and recombinations run on ints."""
     basis = None
     for m8 in v_actions:
-        if basis is not None and not basis:
+        if basis == []:
             break
-        w4 = wedge4_matrix(m8)
+        diff = wedge4_matrix(m8) - IntMatrix.identity(70)
         if basis is None:
-            basis = rational_kernel(w4 - IntMatrix.identity(70))
+            basis = [primitive_vector(v) for v in rational_kernel(diff)]
             continue
-        cols = []
-        for b in basis:
-            img = w4.apply(b)
-            cols.append(tuple(x - y for x, y in zip(img, b)))
         # kernel of the 70 x len(basis) map expressed in the current basis
-        constraint = RatMatrix(list(zip(*cols)))
-        inner = rational_kernel(constraint)
-        basis = [
-            tuple(sum(c * b[i] for c, b in zip(vec, basis)) for i in range(70))
-            for vec in inner
-        ]
+        columns = IntMatrix._wrap(tuple(zip(*basis)))
+        inner = rational_kernel(diff @ columns)
+        basis = [primitive_vector(columns.apply(primitive_vector(v)))
+                 for v in inner]
     if basis is None:
-        basis = [tuple(Fraction(int(i == j)) for i in range(70)) for j in range(70)]
-    if expect_contains is not None:
-        assert _in_span(expect_contains, basis), \
-            "expected class missing from the fixed space"
-    return len(basis), basis
-
-
-def _in_span(vec, basis):
+        basis = [tuple(int(i == j) for i in range(70)) for j in range(70)]
+    if expect_contains is not None and not in_span(expect_contains, basis):
+        raise ValueError("expected class missing from the fixed space")
     if not basis:
-        return all(x == 0 for x in vec)
-    rows = [list(b) for b in basis] + [list(Fraction(x) for x in vec)]
-    m = RatMatrix(rows)
-    return m.rank() == len(basis)
+        return 0, []
+    reduced, _ = RatMatrix([b[::-1] for b in basis]).rref()
+    return len(basis), [row[::-1] for row in reversed(reduced.data)]
 
 
 def proportional(u, v):

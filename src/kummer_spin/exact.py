@@ -6,7 +6,7 @@ construction and all operations return fresh values.
 """
 
 from fractions import Fraction
-from math import gcd, isqrt
+from math import gcd, isqrt, lcm
 
 
 def _as_int(x):
@@ -273,6 +273,13 @@ def rational_kernel(a):
     return basis
 
 
+def in_span(vec, basis):
+    """Whether vec lies in the span of the independent vectors in basis."""
+    if not basis:
+        return all(x == 0 for x in vec)
+    return RatMatrix(list(basis) + [vec]).rank() == len(basis)
+
+
 class SmithForm:
     """Decomposition left @ a @ right == diagonal(invariant_factors)."""
 
@@ -448,6 +455,14 @@ def vector_gcd(vec):
     for x in vec:
         g = gcd(g, x)
     return g
+
+
+def primitive_vector(vec):
+    """The primitive integer vector on the ray of a rational vector."""
+    den = lcm(*(x.denominator for x in vec))
+    ints = tuple(x.numerator * (den // x.denominator) for x in vec)
+    g = vector_gcd(ints)
+    return tuple(x // g for x in ints) if g else ints
 
 
 def is_primitive(vec):

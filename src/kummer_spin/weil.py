@@ -16,7 +16,9 @@ from .clifford import splus_lattice, splus_pairing, v_pairing, V_GRAM
 from .exact import (
     IntMatrix,
     RatMatrix,
+    in_span,
     is_rational_square,
+    primitive_vector,
     rational_kernel,
     vector_gcd,
 )
@@ -375,15 +377,6 @@ def _intersect(space_a, space_b):
     return [tuple(r) for r in reduced.data if any(x != 0 for x in r)]
 
 
-def _integerize(vec):
-    denom = 1
-    for x in vec:
-        denom = denom * x.denominator // gcd(denom, x.denominator)
-    ints = tuple(int(x * denom) for x in vec)
-    g = vector_gcd(ints)
-    return tuple(x // g for x in ints) if g else ints
-
-
 def _orthogonal_partner(a, plane, theta_prime):
     """b in the plane with (a, theta'(b)) = 0, as an integer vector."""
     r, s = plane[0], plane[1]
@@ -394,7 +387,7 @@ def _orthogonal_partner(a, plane, theta_prime):
     b = tuple(lam * ri + mu * si for ri, si in zip(r, s))
     if all(x == 0 for x in b):
         raise SearchExhausted("degenerate orthogonal partner")
-    return _integerize(b)
+    return primitive_vector(b)
 
 
 def hermitian_and_discriminant(ws, rng):
@@ -425,7 +418,7 @@ def hermitian_and_discriminant(ws, rng):
 
     tp = ws.theta_prime.to_rat()
     checks["planes_theta_invariant"] = all(
-        _in_span(tp.apply(v), planes[key]) for key in planes for v in planes[key])
+        in_span(tp.apply(v), planes[key]) for key in planes for v in planes[key])
 
     # the two involutions: eta_i = m-pair of (e_i, f_i); squares to the
     # identity and reverses the sign of the V-pairing
@@ -501,7 +494,7 @@ def _pick_pair(plane_a, plane_b, ws):
                   tuple(x - y for x, y in zip(p, q)),
                   tuple(x + 2 * y for x, y in zip(p, q))]
     for cand in candidates:
-        a = _integerize(cand)
+        a = primitive_vector(cand)
         try:
             b = _orthogonal_partner(a, plane_b, ws.theta_prime)
         except SearchExhausted:
@@ -509,11 +502,6 @@ def _pick_pair(plane_a, plane_b, ws):
         if _v_pair_q(a, b) != 0:
             return a, b
     raise SearchExhausted("no nondegenerate pair in the plane product")
-
-
-def _in_span(vec, basis):
-    rows = [list(b) for b in basis] + [list(vec)]
-    return RatMatrix(rows).rank() == len(basis)
 
 
 def spin_wh_commutant_check(v_actions, ws):

@@ -10,6 +10,7 @@ from kummer_spin.cayley import (
     BETA,
     C1_P,
     GAMMA,
+    WEDGE4_SUBSETS,
     ChClass,
     ExtRingElement,
     c2_end,
@@ -116,6 +117,14 @@ def test_c2_end_dual_route_on_random_classes():
         assert c2_end(b) == c2_end_via_kappa(b)
 
 
+def test_degree_checks_raise_value_error():
+    e1 = ExtRingElement.generator(0)
+    for bad in (e1.dual, e1.exp, lambda: ext_to_wedge4(ALPHA),
+                lambda: ChClass(2, ExtRingElement.scalar(1))):
+        with pytest.raises(ValueError):
+            bad()
+
+
 def test_cayley_class_values():
     c3 = cayley_class(3)
     expected = ext_to_wedge4((ALPHA * ALPHA).scale(-9)
@@ -139,9 +148,33 @@ def test_wedge4_matrix_functorial():
     assert wedge4_matrix(IntMatrix.identity(8)).is_identity()
 
 
+def test_wedge4_matrix_entries_are_4x4_minors():
+    rng = random.Random(62)
+    for _ in range(20):
+        m8 = IntMatrix([[rng.randint(-5, 5) for _ in range(8)]
+                        for _ in range(8)])
+        w4 = wedge4_matrix(m8)
+        for _ in range(50):
+            r, c = rng.randrange(70), rng.randrange(70)
+            minor = IntMatrix([[m8[i, j] for j in WEDGE4_SUBSETS[c]]
+                               for i in WEDGE4_SUBSETS[r]])
+            assert w4[r, c] == minor.det()
+
+
 def test_invariant_rank_identity_only():
     rank, basis = invariant_rank([IntMatrix.identity(8)])
     assert rank == 70
+    assert basis == [tuple(int(i == j) for i in range(70))
+                     for j in range(70)]
+
+
+def test_invariant_rank_rejects_class_outside_fixed_space():
+    # wedge4 of diag(-1, 1, ..., 1) negates exactly the subsets holding 0
+    flip = IntMatrix.diagonal([-1] + [1] * 7)
+    inside = tuple(int(i == 69) for i in range(70))
+    assert invariant_rank([flip], expect_contains=inside)[0] == 35
+    with pytest.raises(ValueError):
+        invariant_rank([flip], expect_contains=cayley_class(3))
 
 
 def test_invariant_rank_w_only():
@@ -160,6 +193,11 @@ def test_invariant_rank_w_and_h():
     actions = wh_stabilizer_v_actions(n, h6, 20, rng)
     rank, basis = invariant_rank(actions, expect_contains=cayley_class(n))
     assert rank == 3
+    # reduced echelon form with pivots taken from the last coordinate
+    pivots = [max(i for i, x in enumerate(b) if x) for b in basis]
+    assert pivots == sorted(pivots)
+    for k, b in enumerate(basis):
+        assert [b[p] for p in pivots] == [int(j == k) for j in range(rank)]
 
 
 def test_stacked_kernel_matches_incremental():

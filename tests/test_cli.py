@@ -1,5 +1,6 @@
 """CLI behavior: formats, exit codes, determinism, output files."""
 
+import hashlib
 import json
 import os
 import subprocess
@@ -95,3 +96,24 @@ def test_non_degree_two_h_skips_commutant():
 def test_degenerate_with_h_exits_2():
     result = run_cli("verify", "cayley", "--n", "3", "--with-h", "1,0,0,0,0,0")
     assert result.returncode == 2
+
+
+@pytest.mark.parametrize("n, row", [
+    ("3", '[{"0": "9", "20": "3/2", "27": "3/2", "42": "3/2", "49": "3/2", '
+          '"60": "3/2", "69": "1", "9": "3/2"}]'),
+    ("4", '[{"0": "16", "20": "2", "27": "2", "42": "2", "49": "2", '
+          '"60": "2", "69": "1", "9": "2"}]'),
+])
+def test_cayley_kernel_basis_row(n, row):
+    result = run_cli("verify", "cayley", "--n", n, "--seed", "0")
+    assert result.returncode == 0
+    assert ("[PASS] cayley:kernel_basis (prop-equation-for-Cayley-class) -- "
+            + row + "\n") in result.stdout
+
+
+def test_cayley_with_h_report_bytes():
+    result = run_cli("verify", "cayley", "--n", "3", "--with-h",
+                     "1,0,0,0,0,1", "--seed", "0")
+    assert result.returncode == 0
+    assert hashlib.sha256(result.stdout.encode()).hexdigest() == (
+        "a7cfe96520f368351d1b3483894403d60d50fadb91c29d1596ae1b81ff876dd0")
