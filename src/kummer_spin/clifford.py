@@ -157,12 +157,14 @@ def sminus_embed(v8):
 
 
 def splus_coords(spinor):
-    assert all(spinor[m] == 0 for m in SMINUS_MASKS), "spinor not even"
+    if any(spinor[m] for m in SMINUS_MASKS):
+        raise ValueError("spinor not even")
     return tuple(spinor[m] for m in SPLUS_MASKS)
 
 
 def sminus_coords(spinor):
-    assert all(spinor[m] == 0 for m in SPLUS_MASKS), "spinor not odd"
+    if any(spinor[m] for m in SPLUS_MASKS):
+        raise ValueError("spinor not odd")
     return tuple(spinor[m] for m in SMINUS_MASKS)
 
 
@@ -205,26 +207,20 @@ def sminus_pairing(x, y):
 # --- monomial basis of C(V) -------------------------------------------------
 
 _MON = None
-_REV = None
 _MON_SPARSE = None
 _DECOMP_ORDER = None
 
 
 def _tables():
-    global _MON, _REV, _MON_SPARSE, _DECOMP_ORDER
+    global _MON, _MON_SPARSE, _DECOMP_ORDER
     if _MON is not None:
         return
     mon = [None] * 256
-    rev = [None] * 256
     mon[0] = IntMatrix.identity(16)
-    rev[0] = IntMatrix.identity(16)
     for m in range(1, 256):
         low = (m & -m).bit_length() - 1
-        high = m.bit_length() - 1
         mon[m] = GEN_MATRICES[low] @ mon[m ^ (1 << low)]
-        rev[m] = GEN_MATRICES[high] @ rev[m ^ (1 << high)]
     _MON = tuple(mon)
-    _REV = tuple(rev)
     sparse = []
     for m in range(256):
         entries = []
@@ -264,8 +260,8 @@ def monomial_decompose(x):
             coeffs[m] = c
             for i, j, val in _MON_SPARSE[m]:
                 rem[i][j] -= c * val
-    assert all(all(v == 0 for v in row) for row in rem), \
-        "non-integral monomial decomposition"
+    if any(any(row) for row in rem):
+        raise ValueError("non-integral monomial decomposition")
     return tuple(coeffs)
 
 
@@ -304,36 +300,22 @@ def monomial_rank():
     return 256
 
 
-_REV_SPARSE = None
-
-
-def _rev_sparse():
-    global _REV_SPARSE
-    if _REV_SPARSE is None:
-        _tables()
-        sparse = []
-        for m in range(256):
-            entries = []
-            for i in range(16):
-                row = _REV[m].data[i]
-                for j in range(16):
-                    if row[j]:
-                        entries.append((i, j, row[j]))
-            sparse.append(tuple(entries))
-        _REV_SPARSE = tuple(sparse)
-    return _REV_SPARSE
+# s_a with pairing_s(e_a, e_(ALL^a)) = s_a: the Gram B of pairing_s is the
+# symmetric signed complement permutation B[a][ALL^a] = s_a, and B.B = I
+_TAU_SIGN = tuple(tau_degree_sign(degree(a)) * merge_sign(a, ALL ^ a)
+                  for a in range(16))
 
 
 def tau(x):
-    """Main anti-automorphism: reverses every monomial factor order."""
-    rev = _rev_sparse()
-    coeffs = monomial_decompose(x)
-    rows = [[0] * 16 for _ in range(16)]
-    for m, c in enumerate(coeffs):
-        if c:
-            for i, j, val in rev[m]:
-                rows[i][j] += c * val
-    return IntMatrix._wrap(tuple(tuple(r) for r in rows))
+    """Main anti-automorphism, reversing every monomial's factor order.
+
+    It is the adjoint under the spinor pairing, (tau(x) s, t)_S =
+    (s, x t)_S, so tau(x) = B x^T B with B the Gram of pairing_s; entrywise
+    tau(x)[i][j] = s_i s_j x[ALL^j][ALL^i]."""
+    s, d = _TAU_SIGN, x.data
+    return IntMatrix._wrap(tuple(
+        tuple(s[i] * s[j] * d[ALL ^ j][ALL ^ i] for j in range(16))
+        for i in range(16)))
 
 
 _PARITY_SIGN = tuple((-1) ** degree(m) for m in range(16))
@@ -404,8 +386,10 @@ class GroupFlags:
         self.orientation = orientation if orientation in (1, -1) else None
         self.parity = parity
         self.rho = rho
-        assert not in_spin or (in_pin and parity == "even")
-        assert not in_pin or in_g
+        if in_spin and not (in_pin and parity == "even"):
+            raise ValueError("Spin element must be an even Pin element")
+        if in_pin and not in_g:
+            raise ValueError("Pin element must lie in the Clifford group")
 
 
 def _mul_gen_right(x, k):
@@ -430,7 +414,7 @@ def group_flags(x):
 
     Raises NotInCliffordGroup if conjugation by x does not stabilize V.
     Tests run over Q (inverse taken rationally when the element is not a
-    unit of the integral algebra); integrality of rho is asserted after.
+    unit of the integral algebra); integrality of rho is checked after.
     """
     xs = star(x)
     orientation = _scalar_of(x @ xs)
@@ -456,7 +440,8 @@ def group_flags(x):
             raise NotInCliffordGroup("conjugation does not stabilize V")
         rho_cols.append(w)
     rho_rat = RatMatrix(list(zip(*rho_cols)))
-    assert rho_rat.is_integral(), "rho(x) not integral"
+    if not rho_rat.is_integral():
+        raise ValueError("rho(x) not integral")
     rho = rho_rat.to_int()
     in_g = True
     in_pin = orientation == 1

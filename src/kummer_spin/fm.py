@@ -23,7 +23,7 @@ from .clifford import (
     wedge_matrix,
 )
 from .exact import IntMatrix
-from .triality import AXAutomorphism, m_tilde, mu_tilde
+from .triality import AXAutomorphism, _splus_reflection, m_tilde, mu_tilde
 
 PAIRS = ((0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3))
 
@@ -135,7 +135,8 @@ def phi_f_ax(bundle):
     """Tensorization acting on the 24-dimensional algebra."""
     x = phi_f_spinor(bundle)
     flags = group_flags(x)
-    assert flags.in_spin, "tensorization class is not a Spin element"
+    if not flags.in_spin:
+        raise ValueError("tensorization class is not a Spin element")
     return mu_tilde(x, flags)
 
 
@@ -200,11 +201,12 @@ def verify_phi_p_identities():
 
 def verify_equivariance():
     """Conjugating the module action by the transform realizes the induced
-    map on the rank-8 module: 8 exact 16x16 identities."""
+    map on the rank-8 module: 8 exact 16x16 identities.  The transform is
+    a signed permutation, so its transpose is its inverse (checked)."""
     phi = transform_matrix()
-    phi_inv = phi.to_rat().inverse()
-    assert phi_inv.is_integral()
-    phi_inv = phi_inv.to_int()
+    phi_inv = phi.transpose()
+    if not (phi @ phi_inv).is_identity():
+        raise ValueError("transform is not inverted by its transpose")
     var = varphi_matrix()
     results = []
     for k in range(8):
@@ -258,43 +260,38 @@ def reflection_lift_identities(bundle1, bundle2):
     s = S_PLUS_ONE_ONE
     phi_p = transform_ax()
     phi_p_inv = phi_p.inverse()
+    phi_f1 = phi_f_ax(bundle1)
+    phi_f1_inv = phi_f1.inverse()
+    phi_f2_inv = phi_f_ax(bundle2).inverse()
+    phi_f1hat = phi_f_ax(bundle1.dual_surface_bundle())
+    phi_f2hat = phi_f_ax(bundle2.dual_surface_bundle())
+    m_s = m_tilde(s)
     results = []
 
-    f = bundle1
-    phi_f = phi_f_ax(f)
-    fhat = f.dual_surface_bundle()
-    phi_fhat = phi_f_ax(fhat)
-
     # (a) the round-trip composite equals m~_s . m~_{phi_F(s)}
-    composite = phi_p_inv @ phi_fhat @ phi_p @ phi_f.inverse()
-    fs = splus_of_ax(phi_f, s)
-    rhs = m_tilde(s) @ m_tilde(fs)
+    composite = phi_p_inv @ phi_f1hat @ phi_p @ phi_f1_inv
+    fs = splus_of_ax(phi_f1, s)
+    m_fs = m_tilde(fs)
+    rhs = m_s @ m_fs
     results.append(("eq-product-of-two-reflections-via-FM", composite == rhs))
 
     # S+ restriction of (a) is the product of the two reflections
-    from .triality import _splus_reflection
-
     refl = _splus_reflection(s) @ _splus_reflection(fs)
     ok = all(composite.matrix[16 + i, 16 + j] == refl[i, j]
              for i in range(8) for j in range(8))
     results.append(("eq-product-acts-by-two-reflections-on-S-plus", ok))
 
     # (b) conjugating m~ by the transform / by tensorization
-    lhs = phi_p_inv @ m_tilde(s) @ phi_p
-    results.append(("eq-conjugation-of-m-s-by-phi-P", lhs == m_tilde(s)))
-    lhs = phi_f @ m_tilde(s) @ phi_f.inverse()
-    results.append(("eq-conjugation-of-m-s-by-phi-F", lhs == m_tilde(fs)))
+    lhs = phi_p_inv @ m_s @ phi_p
+    results.append(("eq-conjugation-of-m-s-by-phi-P", lhs == m_s))
+    lhs = phi_f1 @ m_s @ phi_f1_inv
+    results.append(("eq-conjugation-of-m-s-by-phi-F", lhs == m_fs))
 
     # (c) the two-bundle composite maps to m~_{F2^-1(s)} . m~_{F1^-1(s)}
-    f1, f2 = bundle1, bundle2
-    phi_f1 = phi_f_ax(f1)
-    phi_f2 = phi_f_ax(f2)
-    f1hat = f1.dual_surface_bundle()
-    f2hat = f2.dual_surface_bundle()
-    comp = (phi_f2.inverse() @ phi_p_inv @ phi_f_ax(f2hat)
-            @ phi_f_ax(f1hat).inverse() @ phi_p @ phi_f1)
-    rhs = m_tilde(splus_of_ax(phi_f2.inverse(), s)) \
-        @ m_tilde(splus_of_ax(phi_f1.inverse(), s))
+    comp = (phi_f2_inv @ phi_p_inv @ phi_f2hat
+            @ phi_f1hat.inverse() @ phi_p @ phi_f1)
+    rhs = m_tilde(splus_of_ax(phi_f2_inv, s)) \
+        @ m_tilde(splus_of_ax(phi_f1_inv, s))
     results.append(("eq-reflections-in-two-line-bundles", comp == rhs))
 
     results.append(("eq-c1-of-dual-bundle", hat_c1_consistency(bundle1)))
@@ -305,7 +302,8 @@ def splus_of_ax(aut, splus_vec):
     """Apply an algebra automorphism to an even-half vector."""
     a = (0,) * 16 + tuple(splus_vec)
     image = aut.apply(a)
-    assert tuple(image[0:16]) == (0,) * 16, "automorphism does not preserve S+"
+    if any(image[0:16]):
+        raise ValueError("automorphism does not preserve S+")
     return tuple(image[16:24])
 
 

@@ -194,9 +194,8 @@ def suite_triality(seed=0):
     for k in range(8):
         x = tri.ax_element(v=tuple(int(i == k) for i in range(8)))
         lhs = tri.multiplication_operator(tuple(j.apply(x)))
-        rhs = j.matrix.to_rat() @ tri.multiplication_operator(x).to_rat() \
-            @ jinv.matrix.to_rat()
-        if lhs.to_rat() != rhs:
+        rhs = j.matrix @ tri.multiplication_operator(x) @ jinv.matrix
+        if lhs != rhs:
             ok = False
     rep.add("m_J_conjugation", "eq-m-J-of-x", ok, "all 8 basis vectors")
 

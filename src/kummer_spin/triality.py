@@ -24,7 +24,7 @@ from .clifford import (
     SPLUS_MASKS,
     SMINUS_MASKS,
 )
-from .exact import IntMatrix, RatMatrix
+from .exact import IntMatrix
 
 _S_PERM = SMINUS_MASKS + SPLUS_MASKS  # A_X spinor coordinate order: S- then S+
 
@@ -41,7 +41,8 @@ def ax_element(v=None, s_minus=None, s_plus=None):
     v = tuple(v) if v is not None else (0,) * 8
     s_minus = tuple(s_minus) if s_minus is not None else (0,) * 8
     s_plus = tuple(s_plus) if s_plus is not None else (0,) * 8
-    assert len(v) == len(s_minus) == len(s_plus) == 8
+    if not len(v) == len(s_minus) == len(s_plus) == 8:
+        raise ValueError("each block of an A_X element needs 8 entries")
     return v + s_minus + s_plus
 
 
@@ -99,76 +100,64 @@ def multiplication_operator(a):
 
 class AXAutomorphism:
     """A linear automorphism of the 24-dimensional algebra with verified
-    structural flags."""
+    structural flags; the matrix is integral."""
 
     __slots__ = ("matrix", "_flags")
 
     def __init__(self, matrix):
-        if not isinstance(matrix, (IntMatrix, RatMatrix)):
-            matrix = RatMatrix(matrix)
+        if not isinstance(matrix, IntMatrix):
+            matrix = IntMatrix(matrix)
         if matrix.rows != 24 or matrix.cols != 24:
             raise ValueError("expected a 24x24 matrix")
         self.matrix = matrix
         self._flags = {}
 
     def __matmul__(self, other):
-        a, b = self.matrix, other.matrix
-        if isinstance(a, IntMatrix) != isinstance(b, IntMatrix):
-            a = a.to_rat() if isinstance(a, IntMatrix) else a
-            b = b.to_rat() if isinstance(b, IntMatrix) else b
-        return AXAutomorphism(a @ b)
+        return AXAutomorphism(self.matrix @ other.matrix)
 
     def __eq__(self, other):
-        a, b = self.matrix, other.matrix
-        if isinstance(a, IntMatrix) != isinstance(b, IntMatrix):
-            a = a.to_rat() if isinstance(a, IntMatrix) else a
-            b = b.to_rat() if isinstance(b, IntMatrix) else b
-        return a == b
+        return self.matrix == other.matrix
 
     def apply(self, a):
         return self.matrix.apply(a)
 
     def inverse(self):
-        inv = self.matrix.to_rat().inverse() if isinstance(self.matrix, IntMatrix) \
-            else self.matrix.inverse()
-        if inv.is_integral():
-            inv = inv.to_int()
+        """The inverse as an adjoint under G = AX_GRAM, a symmetric signed
+        permutation with G.G = I: with H = M^T G M, the inverse is
+        H M^T G, since (H M^T G) M = H.H = I whenever H is an involution.
+        An isometry has H = G, so its inverse is G M^T G; the sign-reversing
+        elements (tau_tilde, m_tilde of a -2 class, a mixed m_tilde_pair)
+        have H = G negated on V + S-.  M @ inverse == I is checked exactly;
+        ValueError when it fails."""
+        m = self.matrix
+        mtg = m.transpose() @ AX_GRAM
+        inv = mtg @ m @ mtg
+        if not (m @ inv).is_identity():
+            raise ValueError("matrix is not inverted by its Gram adjoint")
         return AXAutomorphism(inv)
 
     def is_isometry(self):
         if "isometry" not in self._flags:
             m = self.matrix
-            g = AX_GRAM if isinstance(m, IntMatrix) else AX_GRAM.to_rat()
-            self._flags["isometry"] = m.transpose() @ g @ m == g
+            self._flags["isometry"] = m.transpose() @ AX_GRAM @ m == AX_GRAM
         return self._flags["isometry"]
 
     def is_algebra_automorphism(self):
         """Exhaustive check of f(a.b) = f(a).f(b) on all 24x24 basis pairs."""
-        if "algebra" not in self._flags:
-            images = [self.apply(tuple(int(i == j) for i in range(24)))
-                      for j in range(24)]
-            ok = True
-            for i in range(24):
-                ei = tuple(int(k == i) for k in range(24))
-                for j in range(i, 24):
-                    ej = tuple(int(k == j) for k in range(24))
-                    left = self.apply(ax_product(ei, ej))
-                    right = ax_product(images[i], images[j])
-                    if tuple(left) != tuple(right):
-                        ok = False
-                        break
-                if not ok:
-                    break
-            self._flags["algebra"] = ok
-        return self._flags["algebra"]
+        return self.product_twist() == 1
 
     def product_twist(self):
         """+1 for a full algebra automorphism; -1 when the product is
         preserved except for a sign on the V x S- -> S+ component (the
         component defined through the pairing on V + S-, which scales by
-        the even-half norm of sign-reversing elements); None otherwise."""
-        images = [self.apply(tuple(int(i == j) for i in range(24)))
-                  for j in range(24)]
+        the even-half norm of sign-reversing elements); None otherwise.
+        Checked on all 24x24 basis pairs."""
+        if "twist" not in self._flags:
+            self._flags["twist"] = self._product_twist()
+        return self._flags["twist"]
+
+    def _product_twist(self):
+        images = [self.matrix.column(j) for j in range(24)]
         twist = None
         for i in range(24):
             ei = tuple(int(k == i) for k in range(24))
@@ -211,9 +200,8 @@ class AXAutomorphism:
         return dict(zip(names, out))
 
     def to_json(self):
-        mat = self.matrix.to_rat() if isinstance(self.matrix, IntMatrix) else self.matrix
         return {
-            "matrix": [[str(x) for x in row] for row in mat.data],
+            "matrix": [[str(x) for x in row] for row in self.matrix.data],
             "isometry": self.is_isometry(),
             "algebra_automorphism": self.is_algebra_automorphism(),
             "block_permutation": self.block_permutation(),
@@ -338,9 +326,8 @@ def outer_j(x, j=None):
     if not flags.in_spin:
         raise ValueError("outer triality twist needs a Spin element")
     conj = j @ mu_tilde(x, flags) @ j.inverse()
-    perm = conj.block_permutation()
-    assert perm == {"V": "V", "S-": "S-", "S+": "S+"}, \
-        "triality conjugate does not preserve the summands"
-    assert conj.is_algebra_automorphism(), \
-        "triality conjugate is not an algebra automorphism"
+    if conj.block_permutation() != {"V": "V", "S-": "S-", "S+": "S+"}:
+        raise ValueError("triality conjugate does not preserve the summands")
+    if not conj.is_algebra_automorphism():
+        raise ValueError("triality conjugate is not an algebra automorphism")
     return conj

@@ -11,13 +11,13 @@ import pytest
 PKG_ROOT = os.path.join(os.path.dirname(__file__), os.pardir, "src")
 
 
-def run_cli(*args, env_extra=None):
+def run_cli(*args, env_extra=None, python_flags=()):
     env = dict(os.environ)
     env["PYTHONPATH"] = PKG_ROOT + os.pathsep + env.get("PYTHONPATH", "")
     if env_extra:
         env.update(env_extra)
     return subprocess.run(
-        [sys.executable, "-m", "kummer_spin.cli", *args],
+        [sys.executable, *python_flags, "-m", "kummer_spin.cli", *args],
         capture_output=True, text=True, env=env)
 
 
@@ -117,3 +117,12 @@ def test_cayley_with_h_report_bytes():
     assert result.returncode == 0
     assert hashlib.sha256(result.stdout.encode()).hexdigest() == (
         "a7cfe96520f368351d1b3483894403d60d50fadb91c29d1596ae1b81ff876dd0")
+
+
+def test_verify_all_report_bytes_without_asserts():
+    # -O strips assert statements; the report must not depend on them
+    result = run_cli("verify", "all", "--n", "4", "--seed", "7",
+                     python_flags=("-O",))
+    assert result.returncode == 0
+    assert hashlib.sha256(result.stdout.encode()).hexdigest() == (
+        "47180dc5c2479b988b9b274cefbecee7bb11a5a65401aa27005ddba5a54bc503")

@@ -21,6 +21,7 @@ from kummer_spin.clifford import (
     mukai_triple,
     pairing_s,
     sminus_lattice,
+    splus_coords,
     splus_embed,
     splus_lattice,
     splus_pairing,
@@ -30,8 +31,10 @@ from kummer_spin.clifford import (
     v_lattice,
     v_pairing,
 )
+from kummer_spin import clifford as cl
 from kummer_spin.exact import IntMatrix
 from kummer_spin.lattice import reflection
+from kummer_spin.suites import suite_clifford
 
 
 E1 = (1, 0, 0, 0, 0, 0, 0, 0)
@@ -138,6 +141,51 @@ def test_tau_fixes_vectors_and_antimultiplies():
         assert tau(tau(x @ y)) == x @ y
         assert alpha(x @ y) == alpha(x) @ alpha(y)
         assert alpha(alpha(x @ y)) == x @ y
+
+
+@pytest.fixture(scope="module")
+def reversed_monomials():
+    """Sparse entries of each monomial with its factor order reversed."""
+    rev = [IntMatrix.identity(16)]
+    for m in range(1, 256):
+        high = m.bit_length() - 1
+        rev.append(GEN_MATRICES[high] @ rev[m ^ (1 << high)])
+    return [[(i, j, r.data[i][j]) for i in range(16) for j in range(16)
+             if r.data[i][j]] for r in rev]
+
+
+def _reference_tau(x, rev):
+    """tau by definition: reverse every monomial of x's decomposition."""
+    rows = [[0] * 16 for _ in range(16)]
+    for m, c in enumerate(monomial_decompose(x)):
+        if c:
+            for i, j, val in rev[m]:
+                rows[i][j] += c * val
+    return IntMatrix(rows)
+
+
+def test_tau_matches_reversed_monomials(reversed_monomials):
+    for m in range(256):
+        x = monomial_matrix(m)
+        assert tau(x) == _reference_tau(x, reversed_monomials)
+    rng = random.Random(2024)
+    for _ in range(100):
+        x = IntMatrix([[rng.randint(-9, 9) for _ in range(16)] for _ in range(16)])
+        assert tau(x) == _reference_tau(x, reversed_monomials)
+
+
+def test_wrong_tau_sign_fails_clifford_suite(monkeypatch):
+    signs = list(cl._TAU_SIGN)
+    signs[3] = -signs[3]
+    monkeypatch.setattr(cl, "_TAU_SIGN", tuple(signs))
+    status = {c.name: c.status for c in suite_clifford(seed=0).checks}
+    assert status["tau_grading"] == "fail"
+    assert status["tau_alpha_laws"] == "fail"
+
+
+def test_splus_coords_rejects_odd_spinor():
+    with pytest.raises(ValueError):
+        splus_coords(tuple(int(m == 1) for m in range(16)))
 
 
 def test_group_flags_vector_cases():

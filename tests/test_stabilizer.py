@@ -226,3 +226,4 @@ def test_generator_product_twist_matches_orientation():
     n = 3
     for g in sample_generators(n, 8, rng):
         assert g.ax.product_twist() == g.orientation_sign()
+        assert g.ax.is_algebra_automorphism() == (g.ax.product_twist() == 1)

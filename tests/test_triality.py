@@ -11,9 +11,11 @@ from kummer_spin.clifford import (
     splus_pairing,
     v_pairing,
 )
+from kummer_spin import fm
 from kummer_spin.exact import IntMatrix
 from kummer_spin.triality import (
     AX_GRAM,
+    AXAutomorphism,
     alpha_tilde_element,
     ax_element,
     ax_product,
@@ -165,6 +167,30 @@ def test_j_conjugation_identity_on_v_basis():
         lhs = multiplication_operator(tuple(j.apply(x)))
         rhs = j.matrix.to_rat() @ multiplication_operator(x).to_rat() @ jinv.matrix.to_rat()
         assert lhs.to_rat() == rhs
+
+
+def test_inverse_matches_rational_elimination():
+    rng = random.Random(71)
+    bundles = [fm.LineBundleClass(tuple(rng.randint(-2, 2) for _ in range(6)))
+               for _ in range(5)]
+    cases = ([build_j(), fm.transform_ax()]
+             + [fm.phi_f_ax(b) for b in bundles]
+             + [tau_tilde(), m_tilde_pair(mukai_triple(1, [0] * 6, 1),
+                                          mukai_triple(1, [0] * 6, -1))])
+    for a in cases:
+        inv = a.inverse()
+        assert inv.matrix == a.matrix.to_rat().inverse().to_int()
+        assert (a @ inv).matrix.is_identity()
+
+
+def test_inverse_rejects_non_adjoint_matrix():
+    with pytest.raises(ValueError):
+        AXAutomorphism(IntMatrix.diagonal([2] + [1] * 23)).inverse()
+
+
+def test_ax_element_rejects_short_block():
+    with pytest.raises(ValueError):
+        ax_element(v=(0,) * 7)
 
 
 def test_outer_j_of_minus_one():
