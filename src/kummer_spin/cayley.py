@@ -13,23 +13,9 @@ rank-8 module.
 from fractions import Fraction
 from itertools import combinations
 
+from .clifford import degree, merge_sign
 from .exact import (IntMatrix, RatMatrix, in_span, primitive_vector,
                     rational_kernel)
-
-NGEN = 8
-
-
-def degree(mask):
-    return bin(mask).count("1")
-
-
-def _merge_sign(a, b):
-    """Sign of sorting the concatenation of disjoint generator subsets."""
-    sign = 1
-    for i in range(NGEN):
-        if b & (1 << i) and degree(a >> (i + 1)) & 1:
-            sign = -sign
-    return sign
 
 
 class ExtRingElement:
@@ -76,7 +62,7 @@ class ExtRingElement:
                 if a & b:
                     continue
                 m = a | b
-                v = out.get(m, Fraction(0)) + ca * cb * _merge_sign(a, b)
+                v = out.get(m, Fraction(0)) + ca * cb * merge_sign(a, b)
                 if v:
                     out[m] = v
                 else:

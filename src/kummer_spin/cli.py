@@ -12,16 +12,57 @@ import json
 import os
 import sys
 
-from .suites import SUITE_BUILDERS, run_all
+from . import suites
+from .stabilizer import h2_square, s_n
+from .weil import weil_structure
 
 SCHEMA_VERSION = 1
 
+# `verify all` runs every suite at this n, other parameters at their defaults
+ALL_DEFAULTS = {"n": 4}
 
-def default_seed():
-    try:
-        return int(os.environ.get("KUMMER_SPIN_SEED", "0"))
-    except ValueError:
-        return 0
+
+def _n_value(text):
+    value = int(text)
+    if value < 2:
+        raise argparse.ArgumentTypeError("n must be at least 2")
+    return value
+
+
+def _coords(flag, count):
+    def parse(text):
+        try:
+            coords = tuple(int(x) for x in text.split(","))
+        except ValueError:
+            coords = ()
+        if len(coords) != count:
+            raise argparse.ArgumentTypeError(
+                "expected %d comma-separated integers for %s" % (count, flag))
+        return coords
+    return parse
+
+
+def _with_h(text):
+    coords = _coords("--with-h", 6)(text)
+    if h2_square(coords) <= 0:
+        raise argparse.ArgumentTypeError(
+            "--with-h must be a degree-two class of positive "
+            "self-intersection")
+    return coords
+
+
+# suite parameter -> argparse keywords of its flag --<parameter>
+FLAGS = {
+    "n": {"type": _n_value,
+          "help": "class parameter n >= 2 (default %(default)s)"},
+    "samples": {"type": int},
+    "with_h": {"type": _with_h,
+               "help": "six comma-separated degree-two coordinates; adds "
+                       "the rank-3 joint-stabilizer check"},
+    "h": {"type": _coords("--h", 8),
+          "help": "eight comma-separated even-half coordinates of the "
+                  "polarization class (default (0, e1e2+e3e4, 0))"},
+}
 
 
 def build_parser():
@@ -31,65 +72,19 @@ def build_parser():
                     "triality, and period computations.")
     sub = parser.add_subparsers(dest="command", required=True)
     verify = sub.add_parser("verify", help="run a named verification suite")
-    suites = verify.add_subparsers(dest="suite", required=True)
-
-    def n_value(text):
-        value = int(text)
-        if value < 2:
-            raise argparse.ArgumentTypeError("n must be at least 2")
-        return value
-
-    def common(p, with_n=False, n_default=3):
+    subparsers = verify.add_subparsers(dest="suite", required=True)
+    for name, params in [*suites.SUITES.items(), ("all", ALL_DEFAULTS)]:
+        p = subparsers.add_parser(name)
         p.add_argument("--seed", type=int, default=None,
                        help="deterministic seed (default 0 or "
                             "KUMMER_SPIN_SEED)")
         p.add_argument("--format", choices=("text", "json"), default="text")
         p.add_argument("--out", default=None, help="write the report to a file")
-        if with_n:
-            p.add_argument("--n", type=n_value, default=n_default,
-                           help="class parameter n >= 2 (default %d)"
-                                % n_default)
-
-    common(suites.add_parser("clifford"))
-    common(suites.add_parser("triality"))
-    common(suites.add_parser("fm"))
-    p = suites.add_parser("stabilizer")
-    common(p, with_n=True)
-    p.add_argument("--samples", type=int, default=12)
-    p = suites.add_parser("modn")
-    common(p, with_n=True)
-    p = suites.add_parser("detchi")
-    common(p, with_n=True)
-    p.add_argument("--samples", type=int, default=8)
-    p = suites.add_parser("gamma")
-    common(p, with_n=True)
-    p = suites.add_parser("cayley")
-    common(p, with_n=True)
-    p.add_argument("--with-h", dest="with_h", default=None,
-                   help="six comma-separated degree-two coordinates; adds "
-                        "the rank-3 joint-stabilizer check")
-    p = suites.add_parser("weil")
-    common(p, with_n=True)
-    p.add_argument("--h", dest="h", default=None,
-                   help="eight comma-separated even-half coordinates of the "
-                        "polarization class (default (0, e1e2+e3e4, 0))")
-    p = suites.add_parser("discriminant")
-    common(p, with_n=True)
-    p = suites.add_parser("all")
-    common(p, with_n=True, n_default=4)
+        for param, default in params.items():
+            if param != "seed":
+                p.add_argument("--" + param.replace("_", "-"), dest=param,
+                               default=default, **FLAGS[param])
     return parser
-
-
-def _parse_coords(text, count, what):
-    try:
-        coords = tuple(int(x) for x in text.split(","))
-    except ValueError:
-        raise SystemExit(2)
-    if len(coords) != count:
-        sys.stderr.write("expected %d comma-separated integers for %s\n"
-                         % (count, what))
-        raise SystemExit(2)
-    return coords
 
 
 def render_text(reports):
@@ -125,34 +120,28 @@ def render_json(reports, seed):
 def main(argv=None):
     parser = build_parser()
     args = parser.parse_args(argv)
-    seed = args.seed if args.seed is not None else default_seed()
-    params = {"seed": seed, "n": getattr(args, "n", 3)}
-    if getattr(args, "samples", None) is not None:
-        params["samples"] = args.samples
-    if getattr(args, "with_h", None) is not None:
-        params["with_h"] = _parse_coords(args.with_h, 6, "--with-h")
-        from .stabilizer import h2_square
-
-        if h2_square(params["with_h"]) <= 0:
-            sys.stderr.write("--with-h must be a degree-two class of "
-                             "positive self-intersection\n")
-            raise SystemExit(2)
-    if getattr(args, "h", None) is not None:
-        params["h"] = _parse_coords(args.h, 8, "--h")
-        from .stabilizer import s_n
-        from .weil import weil_structure
-
+    seed = args.seed
+    if seed is None:
+        text = os.environ.get("KUMMER_SPIN_SEED", "0")
         try:
-            weil_structure(s_n(params["n"]), params["h"])
+            seed = int(text)
+        except ValueError:
+            parser.error("KUMMER_SPIN_SEED must be an integer, got %r" % text)
+    if getattr(args, "h", None) is not None:
+        try:
+            weil_structure(s_n(args.n), args.h)
         except ValueError as exc:
             sys.stderr.write("--h is not an admissible polarization class: "
                              "%s\n" % exc)
             raise SystemExit(2)
 
-    if args.suite == "all":
-        reports = run_all(params["n"], seed)
-    else:
-        reports = [SUITE_BUILDERS[args.suite](params)]
+    names = list(suites.SUITES) if args.suite == "all" else [args.suite]
+    reports = []
+    for name in names:
+        params = {key: getattr(args, key) for key in suites.SUITES[name]
+                  if key != "seed" and hasattr(args, key)}
+        # looked up at call time, so wrappers installed on the module apply
+        reports.append(getattr(suites, "suite_" + name)(seed=seed, **params))
 
     for rep in reports:
         sys.stderr.write("# suite %s elapsed %.1f ms\n"

@@ -108,8 +108,10 @@ def wedge_matrix(spinor):
 def merge_sign(a, b):
     """Sign of sorting the concatenation of disjoint subsets a then b."""
     sign = 1
-    for i in range(4):
-        if b & (1 << i) and degree(a >> (i + 1)) & 1:
+    while b:
+        low = b & -b
+        b ^= low
+        if degree(a & -(low << 1)) & 1:  # members of a above this bit
             sign = -sign
     return sign
 
@@ -134,7 +136,7 @@ def pairing_s(s, t):
 # S+ ordered (H^0, H^2 in lex pair order, H^4); S- ordered (H^1, H^3 lex)
 SPLUS_MASKS = (0, 0b0011, 0b0101, 0b1001, 0b0110, 0b1010, 0b1100, 0b1111)
 SMINUS_MASKS = (1, 2, 4, 8, 0b0111, 0b1011, 0b1101, 0b1110)
-PAIR_ORDER = ((0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3))
+PAIRS = ((0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3))  # H^2 lex order
 
 
 def mukai_triple(r, h2, s):

@@ -416,11 +416,13 @@ def smith_normal_form(a):
     lm, rm = IntMatrix(left), IntMatrix(right)
     factors = [w[k][k] for k in range(min(nr, nc))]
     result = SmithForm(a, lm, rm, factors)
-    check = lm @ a @ rm
-    assert check == result.diagonal(), "SNF transform check failed"
-    assert abs(lm.det()) == 1 and abs(rm.det()) == 1, "SNF transforms not unimodular"
+    if lm @ a @ rm != result.diagonal():
+        raise ValueError("SNF transform check failed")
+    if abs(lm.det()) != 1 or abs(rm.det()) != 1:
+        raise ValueError("SNF transforms not unimodular")
     for x, y in zip(factors, factors[1:]):
-        assert y == 0 or (x != 0 and y % x == 0), "divisibility chain broken"
+        if y != 0 and (x == 0 or y % x != 0):
+            raise ValueError("divisibility chain broken")
     return result
 
 
@@ -457,10 +459,16 @@ def vector_gcd(vec):
     return g
 
 
+def clear_denominators(vec):
+    """(ints, den): the integer vector den * vec, den the least common
+    denominator of the rational vector."""
+    den = lcm(*(x.denominator for x in vec))
+    return tuple(x.numerator * (den // x.denominator) for x in vec), den
+
+
 def primitive_vector(vec):
     """The primitive integer vector on the ray of a rational vector."""
-    den = lcm(*(x.denominator for x in vec))
-    ints = tuple(x.numerator * (den // x.denominator) for x in vec)
+    ints, _ = clear_denominators(vec)
     g = vector_gcd(ints)
     return tuple(x // g for x in ints) if g else ints
 

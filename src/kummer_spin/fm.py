@@ -10,6 +10,7 @@ degree-respecting duality isomorphism.
 
 from .clifford import (
     ALL,
+    PAIRS,
     SMINUS_MASKS,
     SPLUS_MASKS,
     act_vector,
@@ -23,9 +24,8 @@ from .clifford import (
     wedge_matrix,
 )
 from .exact import IntMatrix
+from .stabilizer import h2_square
 from .triality import AXAutomorphism, _splus_reflection, m_tilde, mu_tilde
-
-PAIRS = ((0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3))
 
 
 class LineBundleClass:
@@ -48,8 +48,7 @@ class LineBundleClass:
 
     def c1_square_half(self):
         """The integer (c1.c1)/2 = c12 c34 - c13 c24 + c14 c23."""
-        c = self.c1
-        return c[0] * c[5] - c[1] * c[4] + c[2] * c[3]
+        return h2_square(self.c1) // 2
 
     def chern_character(self):
         """(1, c1, c1^2/2) as a 16-coordinate even spinor."""

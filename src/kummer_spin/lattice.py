@@ -61,8 +61,7 @@ class IntLattice:
         the orientation character is deterministic.
         """
         if self._positive_basis is None:
-            diag_basis = _diagonalize(self.gram)
-            pos = [v for v in diag_basis if _square_q(self.gram, v) > 0]
+            pos = [v for v in _diagonalize(self) if self.square(v) > 0]
             self._positive_basis = tuple(pos)
         return self._positive_basis
 
@@ -129,7 +128,8 @@ class LatticeIsometry:
 
     def inverse(self):
         inv = self.matrix.to_rat().inverse()
-        assert inv.is_integral()
+        if not inv.is_integral():
+            raise ValueError("inverse is not integral")
         return LatticeIsometry(self.lattice, inv.to_int())
 
 
@@ -142,26 +142,16 @@ def _coords(x, rank):
     return x
 
 
-def _square_q(gram, v):
-    gv = gram.to_rat().apply(v)
-    return sum(a * b for a, b in zip(v, gv))
-
-
-def _pair_q(gram, u, v):
-    gv = gram.to_rat().apply(v)
-    return sum(a * b for a, b in zip(u, gv))
-
-
-def _diagonalize(gram):
+def _diagonalize(lattice):
     """Rational basis vectors on which the form is diagonal and nonzero
     (for a nondegenerate form), via symmetric Gram-Schmidt over Q."""
-    n = gram.rows
+    n = lattice.rank
     basis = [tuple(Fraction(int(i == j)) for j in range(n)) for i in range(n)]
     out = []
     while basis:
         v = None
         for cand in basis:
-            if _square_q(gram, cand) != 0:
+            if lattice.square(cand) != 0:
                 v = cand
                 break
         if v is None:
@@ -169,7 +159,7 @@ def _diagonalize(gram):
             found = False
             for i in range(len(basis)):
                 for j in range(i + 1, len(basis)):
-                    if _pair_q(gram, basis[i], basis[j]) != 0:
+                    if lattice.pairing(basis[i], basis[j]) != 0:
                         v = tuple(a + b for a, b in zip(basis[i], basis[j]))
                         found = True
                         break
@@ -178,10 +168,10 @@ def _diagonalize(gram):
             if v is None:
                 break  # degenerate remainder
         out.append(v)
-        qv = _square_q(gram, v)
+        qv = lattice.square(v)
         new_basis = []
         for b in basis:
-            coef = _pair_q(gram, b, v) / qv
+            coef = lattice.pairing(b, v) / qv
             nb = tuple(x - coef * y for x, y in zip(b, v))
             if any(x != 0 for x in nb):
                 new_basis.append(nb)
@@ -229,7 +219,8 @@ def signed_reflection(lattice, u):
 
 def det_character(g):
     d = g.det()
-    assert d in (1, -1)
+    if d not in (1, -1):
+        raise ValueError("isometry determinant %d is not +-1" % d)
     return d
 
 
@@ -267,7 +258,8 @@ def discriminant_group(lattice):
             lift = gram_inv.apply(left_inv.apply(e))
             lifts.append(tuple(lift))
     group = DiscriminantGroup(lattice, factors, lifts)
-    assert group.order == abs(det)
+    if group.order != abs(det):
+        raise ValueError("discriminant group order is not |det|")
     return group
 
 
@@ -302,19 +294,19 @@ def ort_character(lattice, g, positive_basis=None):
         basis = lattice.positive_basis()
     else:
         basis = [tuple(Fraction(x) for x in v) for v in positive_basis]
-        gp = RatMatrix([[_pair_q(lattice.gram, u, v) for v in basis] for u in basis])
+        gp = RatMatrix([[lattice.pairing(u, v) for v in basis] for u in basis])
         for k in range(1, len(basis) + 1):
             if RatMatrix([row[:k] for row in gp.data[:k]]).det() <= 0:
                 raise ValueError("positive_basis is not positive definite")
     if not basis:
         return 1
     m = g.matrix.to_rat()
-    gramp = RatMatrix([[_pair_q(lattice.gram, u, v) for v in basis] for u in basis])
+    gramp = RatMatrix([[lattice.pairing(u, v) for v in basis] for u in basis])
     gramp_inv = gramp.inverse()
     cols = []
     for v in basis:
         gv = m.apply(v)
-        rhs = [_pair_q(lattice.gram, u, gv) for u in basis]
+        rhs = [lattice.pairing(u, gv) for u in basis]
         cols.append(gramp_inv.apply(rhs))
     t = RatMatrix(list(zip(*cols)))
     d = t.det()

@@ -13,6 +13,7 @@ orientation-reversing elements.
 import random
 
 from .clifford import (
+    PAIRS,
     group_flags,
     mukai_triple,
     splus_lattice,
@@ -42,22 +43,29 @@ from .triality import (
 # conventions self-test: (s_n, s_n)_{S+} = -2n and ((1,A,n),(1,A,n))_{S+}
 # = 2n - int(A^2), pinning the sign relating the two pairings
 _sn5 = mukai_triple(1, [0] * 6, -5)
-assert splus_pairing(_sn5, _sn5) == -10
+if splus_pairing(_sn5, _sn5) != -10:
+    raise ValueError("(s_n, s_n) is not -2n")
 _t = mukai_triple(1, (1, 0, 0, 0, 0, 1), 2)  # int(A^2) = 2, n = 2
-assert splus_pairing(_t, _t) == 2 * 2 - 2
+if splus_pairing(_t, _t) != 2 * 2 - 2:
+    raise ValueError("((1,A,n),(1,A,n)) is not 2n - int(A^2)")
 del _sn5, _t
 
 SPLUS_LATTICE = splus_lattice()
-PAIRS = ((0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3))
 
 
 def s_n(n):
     return mukai_triple(1, [0] * 6, -n)
 
 
+def h2_wedge(a, b):
+    """int(A ^ B) for two degree-two classes in lex-pair coordinates."""
+    return (a[0] * b[5] + a[5] * b[0]) - (a[1] * b[4] + a[4] * b[1]) \
+        + (a[2] * b[3] + a[3] * b[2])
+
+
 def h2_square(a6):
     """int(A ^ A) for a degree-two class with six lex-pair coordinates."""
-    return 2 * (a6[0] * a6[5] - a6[1] * a6[4] + a6[2] * a6[3])
+    return h2_wedge(a6, a6)
 
 
 def perp_basis(n):
@@ -145,11 +153,13 @@ def sl4_generator(m, n):
         raise ValueError("sl4 generator needs determinant 1")
     s16 = _wedge_powers(m)
     flags = group_flags(s16)
-    assert flags.in_spin, "wedge action is not a Spin element"
+    if not flags.in_spin:
+        raise ValueError("wedge action is not a Spin element")
     dual = m.to_rat().inverse().transpose()
-    assert dual.is_integral()
-    expected_v = _block_diag(m, dual.to_int())
-    assert flags.rho == expected_v, "conjugation action differs from M + dual"
+    if not dual.is_integral():
+        raise ValueError("inverse transpose is not integral")
+    if flags.rho != _block_diag(m, dual.to_int()):
+        raise ValueError("conjugation action differs from M + dual")
     return StabilizerGenerator("sl4", m, n, mu_tilde(s16, flags))
 
 
@@ -192,7 +202,8 @@ def pair_reflection_generator(a1, a2, n):
             raise ValueError("A must be primitive")
     t1 = mukai_triple(1, a1, n)
     t2 = mukai_triple(1, a2, n)
-    assert splus_pairing(t1, t1) == 2 and splus_pairing(t2, t2) == 2
+    if splus_pairing(t1, t1) != 2 or splus_pairing(t2, t2) != 2:
+        raise ValueError("(1, A, n) does not have square +2")
     return StabilizerGenerator("pair_reflection", (tuple(a1), tuple(a2)), n,
                                m_tilde_pair(t1, t2))
 
@@ -301,9 +312,8 @@ def gamma_w_cokernel(w):
     mult = multiplication_operator(ax_element(s_plus=w))
     m_w = IntMatrix([[mult[8 + i, j] for j in range(8)] for i in range(8)])
     m_w_dag = IntMatrix([[mult[i, 8 + j] for j in range(8)] for i in range(8)])
-    comp = m_w_dag @ m_w
-    assert comp == IntMatrix.identity(8).scale(-n), \
-        "adjoint composite is not multiplication by -n"
+    if m_w_dag @ m_w != IntMatrix.identity(8).scale(-n):
+        raise ValueError("adjoint composite is not multiplication by -n")
     snf = smith_normal_form(m_w)
     return snf.invariant_factors, n
 
@@ -346,34 +356,18 @@ def find_h2_with_square(target, rng, tries=10000, bound=3):
     raise ValueError("no degree-two class of square %d found" % target)
 
 
-def sample_generators(n, count, rng, kinds=("sl4", "pair_reflection",
-                                            "tilde_tau", "tilde_alpha",
-                                            "minus_one")):
-    """A deterministic list of stabilizer generators of the given kinds."""
-    out = []
-    while len(out) < count:
-        kind = kinds[len(out) % len(kinds)]
-        if kind == "sl4":
-            out.append(sl4_generator(random_sl4(rng), n))
-        elif kind == "pair_reflection":
-            a1 = find_h2_with_square(2 * n - 2, rng)
-            a2 = find_h2_with_square(2 * n - 2, rng)
-            out.append(pair_reflection_generator(a1, a2, n))
-        elif kind == "tilde_tau":
-            out.append(tau_tilde_generator(n))
-        elif kind == "tilde_alpha":
-            out.append(alpha_tilde_generator(n))
-        elif kind == "minus_one":
-            out.append(minus_one_generator(n))
-        else:
-            raise ValueError("unknown generator kind %r" % kind)
-    return out
+def sample_generators(n, count, rng):
+    """A deterministic list of stabilizer generators, cycling through the
+    kinds sl4, pair_reflection, tilde_tau, tilde_alpha and minus_one."""
+    def pair_reflection():
+        a1 = find_h2_with_square(2 * n - 2, rng)
+        a2 = find_h2_with_square(2 * n - 2, rng)
+        return pair_reflection_generator(a1, a2, n)
 
-
-def h2_wedge(a, b):
-    """int(A ^ B) for two degree-two classes in lex-pair coordinates."""
-    return (a[0] * b[5] + a[5] * b[0]) - (a[1] * b[4] + a[4] * b[1]) \
-        + (a[2] * b[3] + a[3] * b[2])
+    kinds = (lambda: sl4_generator(random_sl4(rng), n), pair_reflection,
+             lambda: tau_tilde_generator(n), lambda: alpha_tilde_generator(n),
+             lambda: minus_one_generator(n))
+    return [kinds[k % len(kinds)]() for k in range(count)]
 
 
 def _bivector_matrix(h6):
@@ -394,12 +388,13 @@ def bivector_transvection(h6, v):
     if det == 0:
         raise ValueError("degenerate degree-two class")
     adj = b.to_rat().inverse().scale(det)
-    assert adj.is_integral()
-    adj = adj.to_int()
-    cv = adj.apply(v)
+    if not adj.is_integral():
+        raise ValueError("adjugate is not integral")
+    cv = adj.to_int().apply(v)
     rows = [[int(i == j) - v[i] * cv[j] for j in range(4)] for i in range(4)]
     m = IntMatrix(rows)
-    assert m.det() == 1
+    if m.det() != 1:
+        raise ValueError("transvection does not have determinant 1")
     return m
 
 
@@ -441,7 +436,8 @@ def wh_stabilizer_v_actions(n, h6, count, rng):
             a2 = _find_orthogonal_class(2 * n - 2, h6, rng)
             g = pair_reflection_generator(a1, a2, n)
         image = splus_block(g.ax.apply(ax_element(s_plus=hvec)))
-        assert tuple(image) == tuple(hvec), "generator moves the polarization"
+        if tuple(image) != tuple(hvec):
+            raise ValueError("generator moves the polarization")
         gens.append(g)
         out.append(g.v_matrix())
     return out
@@ -460,25 +456,15 @@ def _find_orthogonal_class(square, h6, rng, tries=20000, bound=3):
 
 
 def det_chi_report(n, sample_count, seed):
-    """The character suite: reflection character identities, generator
-    det*chi values, the grading involution's induced action, and the
-    discriminant-group order of the complement.  Returns a dict."""
+    """The character suite's rows (name, ref, ok, detail): reflection
+    character identities, generator det*chi values, the grading
+    involution's induced action, and the discriminant-group order of the
+    complement."""
     rng = random.Random("detchi:%d:%d" % (n, seed))
     lat = bbf_lattice(n)
     disc = discriminant_group(lat)
-    report = {
-        "n": n,
-        "seed": seed,
-        "disc_order_computed": disc.order,
-        "disc_order_formula_2dim_plus_2": 2 * (2 * n - 2) + 2,
-        "disc_orders_agree": disc.order == 2 * (2 * n - 2) + 2,
-        "reflection_checks": 0,
-        "reflection_failures": 0,
-        "generator_checks": 0,
-        "generator_failures": 0,
-        "tau_tilde_ok": False,
-    }
     # raw reflections: det(r_u) = (u,u)/2, chi(r_u) = -(u,u)/2
+    reflections_ok = True
     found = 0
     while found < 50:
         coords = tuple(rng.randint(-3, 3) for _ in range(7))
@@ -487,32 +473,34 @@ def det_chi_report(n, sample_count, seed):
             continue
         found += 1
         r = signed_reflection(lat, coords)
-        ok = (det_character(r) == uu // 2
-              and chi_character(lat, r, disc) == -uu // 2)
-        report["reflection_checks"] += 1
-        if not ok:
-            report["reflection_failures"] += 1
+        if det_character(r) != uu // 2 \
+                or chi_character(lat, r, disc) != -uu // 2:
+            reflections_ok = False
     # generated stabilizer elements: fix s_n, det*chi = +1 on the complement
     gens = sample_generators(n, sample_count, rng)
-    words = list(gens)
-    for _ in range(max(0, sample_count - len(gens))):
-        words.append(word_generator(rng.sample(gens, 2), n))
-    for g in words:
+    generators_ok = True
+    for g in gens:
         iso = g.perp_action()
-        ok = det_character(iso) * chi_character(lat, iso, disc) == 1
-        report["generator_checks"] += 1
-        if not ok:
-            report["generator_failures"] += 1
+        if det_character(iso) * chi_character(lat, iso, disc) != 1:
+            generators_ok = False
     # the grading involution fixes degree two and negates (1,0,n)
     tt = tau_tilde_generator(n).perp_action()
     e0 = tuple(int(i == 0) for i in range(7))
     fixes_h2 = all(tt.apply(tuple(int(i == k) for i in range(7)))
                    == tuple(int(i == k) for i in range(7)) for k in range(1, 7))
     negates = tt.apply(e0) == tuple(-x for x in e0)
-    report["tau_tilde_ok"] = fixes_h2 and negates \
-        and det_character(tt) == -1 \
+    tau_tilde_ok = fixes_h2 and negates and det_character(tt) == -1 \
         and det_character(tt) * chi_character(lat, tt, disc) == 1
-    report["ok"] = (report["reflection_failures"] == 0
-                    and report["generator_failures"] == 0
-                    and report["tau_tilde_ok"])
-    return report
+    formula = 2 * (2 * n - 2) + 2
+    return [
+        ("reflection_characters", "eq-residue-character", reflections_ok,
+         "det(r_u)=(u,u)/2 and chi(r_u)=-(u,u)/2 on 50 samples"),
+        ("generators_in_kernel", "thm-Mon-2", generators_ok,
+         "det*chi = +1 on %d generator images" % len(gens)),
+        ("tau_tilde_involution", "thm-Mon-2", tau_tilde_ok,
+         "fixes degree two, negates (1,0,n), det=-1"),
+        ("disc_group_order", "eq-residue-character", True,
+         "computed %d; alternative formula 2dim+2 gives %d (%s)"
+         % (disc.order, formula, "agree" if disc.order == formula
+            else "disagree; computed order reported")),
+    ]

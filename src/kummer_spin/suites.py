@@ -73,17 +73,25 @@ def _json_vectors(vectors):
     return json.dumps(out, sort_keys=True)
 
 
-def _timed(fn):
-    def wrapper(*args, **kwargs):
+# suite name -> {parameter: default}, in the order `verify all` runs them.
+# A suite's keyword parameters are its command-line flags.
+SUITES = {}
+
+
+def _suite(fn):
+    """Registers suite_<name> with its keyword defaults and times its calls."""
+    SUITES[fn.__name__[len("suite_"):]] = fn.__kwdefaults__
+
+    def wrapper(**params):
         t0 = time.monotonic()
-        report = fn(*args, **kwargs)
+        report = fn(**params)
         report.elapsed_ms = (time.monotonic() - t0) * 1000.0
         return report
     return wrapper
 
 
-@_timed
-def suite_clifford(seed=0, random_pairs=200, roundtrips=30):
+@_suite
+def suite_clifford(*, seed=0):
     rep = SuiteReport("clifford", seed)
     rng = _rng(seed, "clifford")
 
@@ -100,27 +108,27 @@ def suite_clifford(seed=0, random_pairs=200, roundtrips=30):
             ok, "64 ordered basis pairs")
 
     ok = True
-    for _ in range(random_pairs):
+    for _ in range(200):
         v = tuple(rng.randint(-5, 5) for _ in range(8))
         w = tuple(rng.randint(-5, 5) for _ in range(8))
         mv, mw = cl.clifford_embed(v), cl.clifford_embed(w)
         if mv @ mw + mw @ mv != IntMatrix.identity(16).scale(cl.v_pairing(v, w)):
             ok = False
     rep.add("clifford_relation_random", "eq-defining-relation-of-Clifford-algebra",
-            ok, "%d random pairs" % random_pairs)
+            ok, "200 random pairs")
 
     rep.add("monomial_rank", "eq-m-from-C-V", cl.monomial_rank() == 256,
             "256 monomials independent")
 
     ok = True
-    for _ in range(roundtrips):
+    for _ in range(30):
         x = IntMatrix.identity(16)
         for _ in range(5):
             x = x @ cl.GEN_MATRICES[rng.randrange(8)]
         if cl.monomial_recompose(cl.monomial_decompose(x)) != x:
             ok = False
     rep.add("monomial_roundtrip", "eq-m-from-C-V", ok,
-            "%d random generator products" % roundtrips)
+            "30 random generator products")
 
     ok = all(cl.tau(cl.monomial_matrix(m))
              == cl.monomial_matrix(m).scale(cl.tau_degree_sign(cl.degree(m)))
@@ -176,8 +184,8 @@ def suite_clifford(seed=0, random_pairs=200, roundtrips=30):
     return rep
 
 
-@_timed
-def suite_triality(seed=0):
+@_suite
+def suite_triality(*, seed=0):
     rep = SuiteReport("triality", seed)
     rng = _rng(seed, "triality")
     j = tri.build_j()
@@ -236,8 +244,8 @@ def suite_triality(seed=0):
     return rep
 
 
-@_timed
-def suite_fm(seed=0, bundles=20):
+@_suite
+def suite_fm(*, seed=0):
     rep = SuiteReport("fm", seed)
     rng = _rng(seed, "fm")
     for name, ok, detail in fm_mod.verify_phi_p_identities():
@@ -254,18 +262,18 @@ def suite_fm(seed=0, bundles=20):
     rep.add("tensorization_formulas", "lemma-tensorization-by-line-bundle-F",
             ok, "5 sampled bundles, three blocks")
     all_ok = {}
-    for _ in range(bundles):
+    for _ in range(20):
         f1 = fm_mod.LineBundleClass(tuple(rng.randint(-2, 2) for _ in range(6)))
         f2 = fm_mod.LineBundleClass(tuple(rng.randint(-2, 2) for _ in range(6)))
         for name, good in fm_mod.reflection_lift_identities(f1, f2):
             all_ok[name] = all_ok.get(name, True) and good
     for name, good in sorted(all_ok.items()):
-        rep.add(name, name, good, "%d seeded line-bundle pairs" % bundles)
+        rep.add(name, name, good, "20 seeded line-bundle pairs")
     return rep
 
 
-@_timed
-def suite_stabilizer(n=3, samples=12, seed=0):
+@_suite
+def suite_stabilizer(*, n=3, samples=12, seed=0):
     rep = SuiteReport("stabilizer", seed)
     rng = _rng(seed, "stabilizer")
     fixes = True
@@ -326,8 +334,8 @@ def suite_stabilizer(n=3, samples=12, seed=0):
     return rep
 
 
-@_timed
-def suite_modn(n=3, seed=0):
+@_suite
+def suite_modn(*, n=3, seed=0):
     rep = SuiteReport("modn", seed)
     rng = _rng(seed, "modn")
     gens = stab.sample_generators(n, 10, rng)
@@ -361,29 +369,16 @@ def suite_modn(n=3, seed=0):
     return rep
 
 
-@_timed
-def suite_detchi(n=3, samples=8, seed=0):
+@_suite
+def suite_detchi(*, n=3, samples=8, seed=0):
     rep = SuiteReport("detchi", seed)
-    report = stab.det_chi_report(n, samples, seed)
-    rep.add("reflection_characters", "eq-residue-character",
-            report["reflection_failures"] == 0,
-            "det(r_u)=(u,u)/2 and chi(r_u)=-(u,u)/2 on 50 samples")
-    rep.add("generators_in_kernel", "thm-Mon-2",
-            report["generator_failures"] == 0,
-            "det*chi = +1 on %d generator images" % report["generator_checks"])
-    rep.add("tau_tilde_involution", "thm-Mon-2", report["tau_tilde_ok"],
-            "fixes degree two, negates (1,0,n), det=-1")
-    rep.add("disc_group_order", "eq-residue-character", True,
-            "computed %d; alternative formula 2dim+2 gives %d (%s)"
-            % (report["disc_order_computed"],
-               report["disc_order_formula_2dim_plus_2"],
-               "agree" if report["disc_orders_agree"] else "disagree; "
-               "computed order reported"))
+    for row in stab.det_chi_report(n, samples, seed):
+        rep.add(*row)
     return rep
 
 
-@_timed
-def suite_gamma(n=3, seed=0):
+@_suite
+def suite_gamma(*, n=3, seed=0):
     rep = SuiteReport("gamma", seed)
     factors, got_n = stab.gamma_w_cokernel(stab.s_n(n))
     rep.add("snf_factors", "rem-Z-w",
@@ -409,8 +404,8 @@ def suite_gamma(n=3, seed=0):
     return rep
 
 
-@_timed
-def suite_cayley(n=3, seed=0, with_h=None, generators=24):
+@_suite
+def suite_cayley(*, n=3, seed=0, with_h=None):
     rep = SuiteReport("cayley", seed)
     rng = _rng(seed, "cayley")
     ok = all(
@@ -427,7 +422,7 @@ def suite_cayley(n=3, seed=0, with_h=None, generators=24):
     rep.add("dual_route_c2", "thm-kappa-class-is-non-zero-and-spin-7-invariant",
             ok, "kappa route vs direct expansion")
 
-    actions = stab.stabilizer_v_actions(n, generators, rng)
+    actions = stab.stabilizer_v_actions(n, 24, rng)
     rank, basis = cayley_mod.invariant_rank(
         actions, expect_contains=cayley_mod.cayley_class(n))
     rep.add("invariant_rank", "prop-equation-for-Cayley-class", rank == 1,
@@ -447,9 +442,8 @@ def suite_cayley(n=3, seed=0, with_h=None, generators=24):
     return rep
 
 
-@_timed
-def suite_weil(n=3, seed=0, h=None, theta_samples=20, lambda_samples=20,
-               kahler_samples=4):
+@_suite
+def suite_weil(*, n=3, seed=0, h=None):
     rep = SuiteReport("weil", seed)
     rng = _rng(seed, "weil")
     w = stab.s_n(n)
@@ -458,20 +452,20 @@ def suite_weil(n=3, seed=0, h=None, theta_samples=20, lambda_samples=20,
     ws = weil_mod.weil_structure(w, h)
 
     ok = True
-    for _ in range(theta_samples):
+    for _ in range(20):
         w2, h2 = weil_mod.random_weil_pair(rng)
         ws2 = weil_mod.weil_structure(w2, h2)
         if ws2.theta_prime @ ws2.theta_prime \
                 != IntMatrix.identity(8).scale(-ws2.d):
             ok = False
     rep.add("theta_prime_squares", "lemma-complex-multiplication", ok,
-            "%d sampled pairs" % theta_samples)
+            "20 sampled pairs")
 
     ok = all(weil_mod.weil_multiplication_check(
         ws, rng.randint(-5, 5), rng.randint(-5, 5))
-        for _ in range(lambda_samples))
+        for _ in range(20))
     rep.add("norm_compatibility", "cor-weil-type", ok,
-            "%d sampled orders" % lambda_samples)
+            "20 sampled orders")
 
     rep.add("hermitian_sesquilinear", "eq-Hermetian-form",
             weil_mod.hermitian_sesquilinear_check(ws, rng))
@@ -479,7 +473,7 @@ def suite_weil(n=3, seed=0, h=None, theta_samples=20, lambda_samples=20,
     done = 0
     tried = 0
     ok = True
-    while done < kahler_samples and tried < kahler_samples * 20:
+    while done < 4 and tried < 4 * 20:
         tried += 1
         try:
             w2, h2 = weil_mod.random_weil_pair(rng, n_max=6, k_max=6)
@@ -497,7 +491,7 @@ def suite_weil(n=3, seed=0, h=None, theta_samples=20, lambda_samples=20,
             ok = False
             done += 1
     rep.add("kahler_definite", "prop-Theta-h-is-a-Kahler-form",
-            ok and done == kahler_samples,
+            ok and done == 4,
             "%d admissible sampled triples" % done)
 
     ok = True
@@ -525,15 +519,15 @@ def suite_weil(n=3, seed=0, h=None, theta_samples=20, lambda_samples=20,
     return rep
 
 
-@_timed
-def suite_discriminant(n=3, seed=0, certificates=3):
+@_suite
+def suite_discriminant(*, n=3, seed=0):
     rep = SuiteReport("discriminant", seed)
     rng = _rng(seed, "discriminant")
     done = 0
     tried = 0
     ok = True
     details = []
-    while done < certificates and tried < certificates * 30:
+    while done < 3 and tried < 3 * 30:
         tried += 1
         try:
             w, h = weil_mod.random_weil_pair(rng, n_max=6, k_max=6)
@@ -548,7 +542,7 @@ def suite_discriminant(n=3, seed=0, certificates=3):
             ok = False
         details.append("d=%d detPsi=%s" % (ws.d, cert.det_psi))
     rep.add("constructive_basis", "lemma-trivial-discriminant",
-            ok and done == certificates,
+            ok and done == 3,
             "%d certificates: %s" % (done, "; ".join(details)))
     wsn = weil_mod.weil_structure(stab.s_n(n),
                                   cl.mukai_triple(0, (1, 0, 0, 0, 0, 1), 0))
@@ -564,32 +558,3 @@ def suite_discriminant(n=3, seed=0, certificates=3):
     rep.add("h_orthogonal_basis", "lemma-trivial-discriminant",
             cert.checks.get("basis_h_orthogonal", False))
     return rep
-
-
-SUITE_BUILDERS = {
-    "clifford": lambda args: suite_clifford(seed=args["seed"]),
-    "triality": lambda args: suite_triality(seed=args["seed"]),
-    "fm": lambda args: suite_fm(seed=args["seed"]),
-    "stabilizer": lambda args: suite_stabilizer(
-        n=args["n"], samples=args.get("samples", 12), seed=args["seed"]),
-    "modn": lambda args: suite_modn(n=args["n"], seed=args["seed"]),
-    "detchi": lambda args: suite_detchi(
-        n=args["n"], samples=args.get("samples", 8), seed=args["seed"]),
-    "gamma": lambda args: suite_gamma(n=args["n"], seed=args["seed"]),
-    "cayley": lambda args: suite_cayley(
-        n=args["n"], seed=args["seed"], with_h=args.get("with_h")),
-    "weil": lambda args: suite_weil(
-        n=args["n"], seed=args["seed"], h=args.get("h")),
-    "discriminant": lambda args: suite_discriminant(
-        n=args["n"], seed=args["seed"]),
-}
-
-ALL_SUITES = ("clifford", "triality", "fm", "stabilizer", "modn", "detchi",
-              "gamma", "cayley", "weil", "discriminant")
-
-
-def run_all(n, seed):
-    reports = []
-    for name in ALL_SUITES:
-        reports.append(SUITE_BUILDERS[name]({"n": n, "seed": seed}))
-    return reports

@@ -10,12 +10,12 @@ the Hermitian determinant is a rational square.
 """
 
 from fractions import Fraction
-from math import gcd
 
 from .clifford import splus_lattice, splus_pairing, v_pairing, V_GRAM
 from .exact import (
     IntMatrix,
     RatMatrix,
+    clear_denominators,
     in_span,
     is_rational_square,
     primitive_vector,
@@ -70,11 +70,11 @@ class WeilStructure:
         self.d = self.n * self.k
         self.theta_prime = _mult_sminus_to_v(w) @ _mult_v_to_sminus(h)
         sq = self.theta_prime @ self.theta_prime
-        assert sq == IntMatrix.identity(8).scale(-self.d), \
-            "theta' does not square to -d"
+        if sq != IntMatrix.identity(8).scale(-self.d):
+            raise ValueError("theta' does not square to -d")
         self.theta_form = self.theta_prime.transpose() @ V_GRAM
-        assert self.theta_form.transpose() == self.theta_form.scale(-1), \
-            "polarization form is not alternating"
+        if self.theta_form.transpose() != self.theta_form.scale(-1):
+            raise ValueError("polarization form is not alternating")
 
     def theta(self, x, y):
         """Theta_h(x, y) = (theta'(x), y)_V."""
@@ -84,14 +84,7 @@ class WeilStructure:
     def hermitian(self, x, y):
         """H(x,y) = d (x,y) + sqrt(-d) (theta'(x), y), returned as the
         rational pair (real, imaginary-coefficient)."""
-        re = Fraction(self.d) * _v_pair_q(x, y)
-        im = _v_pair_q(self.theta_prime.to_rat().apply(x), y)
-        return re, im
-
-
-def _v_pair_q(x, y):
-    gy = V_GRAM.to_rat().apply(y)
-    return sum(Fraction(a) * b for a, b in zip(x, gy))
+        return Fraction(self.d) * v_pairing(x, y), self.theta(x, y)
 
 
 def weil_structure(w, h):
@@ -107,33 +100,18 @@ class ComplexStructureJ:
     def __init__(self, u1, u2):
         u1 = tuple(Fraction(x) for x in u1)
         u2 = tuple(Fraction(x) for x in u2)
-        if _splus_pair_q(u1, u1) != -2 or _splus_pair_q(u2, u2) != -2:
+        if splus_pairing(u1, u1) != -2 or splus_pairing(u2, u2) != -2:
             raise ValueError("plane basis classes must have square -2")
-        if _splus_pair_q(u1, u2) != 0:
+        if splus_pairing(u1, u2) != 0:
             raise ValueError("plane basis classes must be orthogonal")
         self.u1 = u1
         self.u2 = u2
-        p1, q1 = _clear_denominators(u1)
-        p2, q2 = _clear_denominators(u2)
+        p1, q1 = clear_denominators(u1)
+        p2, q2 = clear_denominators(u2)
         m1 = _mult_sminus_to_v(p1) @ _mult_v_to_sminus(p2)
         self.matrix = m1.to_rat().scale(Fraction(1, q1 * q2))
-        sq = self.matrix @ self.matrix
-        assert sq == RatMatrix.identity(8).scale(-1), "J^2 != -1"
-
-
-def _splus_pair_q(x, y):
-    from .clifford import SPLUS_GRAM
-
-    gy = SPLUS_GRAM.to_rat().apply(y)
-    return sum(Fraction(a) * b for a, b in zip(x, gy))
-
-
-def _clear_denominators(vec):
-    denom = 1
-    for x in vec:
-        denom = denom * x.denominator // gcd(denom, x.denominator)
-    ints = tuple(int(x * denom) for x in vec)
-    return ints, denom
+        if self.matrix @ self.matrix != RatMatrix.identity(8).scale(-1):
+            raise ValueError("J^2 != -1")
 
 
 def j_ell(u1, u2):
@@ -147,11 +125,12 @@ def kahler_metric(ws, j):
     Requires the plane of J orthogonal to both classes of the structure;
     raises ValueError when g is indefinite (incompatible inputs)."""
     for u in (j.u1, j.u2):
-        if _splus_pair_q(u, ws.w) != 0 or _splus_pair_q(u, ws.h) != 0:
+        if splus_pairing(u, ws.w) != 0 or splus_pairing(u, ws.h) != 0:
             raise ValueError("period plane must be orthogonal to both classes")
     t = ws.theta_form.to_rat()
     g = j.matrix.transpose() @ t
-    assert g.transpose() == g, "metric is not symmetric"
+    if g.transpose() != g:
+        raise ValueError("metric is not symmetric")
     for sign in (1, -1):
         ok = True
         for k in range(1, 9):
@@ -382,8 +361,8 @@ def _orthogonal_partner(a, plane, theta_prime):
     r, s = plane[0], plane[1]
     tr = theta_prime.to_rat().apply(r)
     ts = theta_prime.to_rat().apply(s)
-    lam = _v_pair_q(a, ts)
-    mu = -_v_pair_q(a, tr)
+    lam = v_pairing(a, ts)
+    mu = -v_pairing(a, tr)
     b = tuple(lam * ri + mu * si for ri, si in zip(r, s))
     if all(x == 0 for x in b):
         raise SearchExhausted("degenerate orthogonal partner")
@@ -476,9 +455,10 @@ def hermitian_and_discriminant(ws, rng):
     det_psi = Fraction(1)
     for x in basis:
         re, im = ws.hermitian(x, x)
-        assert im == 0
+        if im != 0:
+            raise ValueError("H(x, x) is not real")
         det_psi *= re
-    expected = Fraction(ws.d) ** 4 * _v_pair_q(x1, x1) ** 2 * _v_pair_q(x3, x3) ** 2
+    expected = Fraction(ws.d) ** 4 * v_pairing(x1, x1) ** 2 * v_pairing(x3, x3) ** 2
     checks["det_formula"] = det_psi == expected
     ok, root = is_rational_square(det_psi)
     checks["det_is_rational_square"] = ok
@@ -499,7 +479,7 @@ def _pick_pair(plane_a, plane_b, ws):
             b = _orthogonal_partner(a, plane_b, ws.theta_prime)
         except SearchExhausted:
             continue
-        if _v_pair_q(a, b) != 0:
+        if v_pairing(a, b) != 0:
             return a, b
     raise SearchExhausted("no nondegenerate pair in the plane product")
 

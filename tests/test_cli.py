@@ -1,5 +1,6 @@
 """CLI behavior: formats, exit codes, determinism, output files."""
 
+import argparse
 import hashlib
 import json
 import os
@@ -7,6 +8,8 @@ import subprocess
 import sys
 
 import pytest
+
+from kummer_spin import cli, suites
 
 PKG_ROOT = os.path.join(os.path.dirname(__file__), os.pardir, "src")
 
@@ -70,8 +73,19 @@ def test_unknown_subcommand_exits_2():
 
 
 def test_bad_h_coords_exit_2():
-    result = run_cli("verify", "weil", "--h", "1,2,3")
+    for args in (("verify", "weil", "--h", "1,2,3"),
+                 ("verify", "cayley", "--with-h", "1,x,0,0,0,0")):
+        result = run_cli(*args)
+        assert result.returncode == 2
+        assert args[2] in result.stderr
+        assert "Traceback" not in result.stderr
+
+
+def test_malformed_env_seed_exits_2():
+    result = run_cli("verify", "gamma", env_extra={"KUMMER_SPIN_SEED": "x7"})
     assert result.returncode == 2
+    assert "KUMMER_SPIN_SEED" in result.stderr
+    assert result.stdout == ""
 
 
 def test_timings_go_to_stderr_only():
@@ -126,3 +140,51 @@ def test_verify_all_report_bytes_without_asserts():
     assert result.returncode == 0
     assert hashlib.sha256(result.stdout.encode()).hexdigest() == (
         "47180dc5c2479b988b9b274cefbecee7bb11a5a65401aa27005ddba5a54bc503")
+
+
+SUITE_ORDER = ("clifford", "triality", "fm", "stabilizer", "modn", "detchi",
+               "gamma", "cayley", "weil", "discriminant")
+
+# each subcommand's own flags and their parsed defaults
+SUITE_FLAGS = {
+    "clifford": {}, "triality": {}, "fm": {},
+    "stabilizer": {"n": 3, "samples": 12}, "modn": {"n": 3},
+    "detchi": {"n": 3, "samples": 8}, "gamma": {"n": 3},
+    "cayley": {"n": 3, "with_h": None}, "weil": {"n": 3, "h": None},
+    "discriminant": {"n": 3}, "all": {"n": 4},
+}
+
+
+def _subcommands(parser):
+    (action,) = [a for a in parser._actions
+                 if isinstance(a, argparse._SubParsersAction)]
+    return action.choices
+
+
+def test_cli_interface_pinned():
+    parser = cli.build_parser()
+    verify = _subcommands(parser)["verify"]
+    assert list(_subcommands(verify)) == [*SUITE_ORDER, "all"]
+    for name, flags in SUITE_FLAGS.items():
+        args = parser.parse_args(["verify", name])
+        assert vars(args) == {"command": "verify", "suite": name,
+                              "seed": None, "format": "text", "out": None,
+                              **flags}
+
+
+def test_verify_all_dispatches_by_module_global(monkeypatch, tmp_path):
+    calls = []
+
+    def stub(name):
+        def run(**params):
+            calls.append((name, params))
+            return suites.SuiteReport(name, params["seed"])
+        return run
+
+    for name in SUITE_ORDER:
+        monkeypatch.setattr(suites, "suite_" + name, stub(name))
+    out = tmp_path / "report.txt"
+    assert cli.main(["verify", "all", "--seed", "5", "--out", str(out)]) == 0
+    assert calls == [(name, {"seed": 5, **({"n": 4} if SUITE_FLAGS[name]
+                                           else {})})
+                     for name in SUITE_ORDER]

@@ -1,0 +1,18 @@
+"""Source-level invariants of the package."""
+
+import ast
+from pathlib import Path
+
+import kummer_spin
+
+SRC = Path(kummer_spin.__file__).parent
+
+
+def test_no_assert_statements_in_src():
+    # python -O strips assert statements, so no check may rely on one
+    found = []
+    for path in sorted(SRC.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, ast.Assert):
+                found.append("%s:%d" % (path.name, node.lineno))
+    assert found == []

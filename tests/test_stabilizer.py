@@ -152,14 +152,17 @@ def test_gamma_w_rejects_imprimitive():
 
 def test_det_chi_report():
     for n in (3, 4, 5):
-        report = det_chi_report(n, sample_count=8, seed=0)
-        assert report["ok"], report
-        assert report["reflection_failures"] == 0
-        assert report["generator_failures"] == 0
-        assert report["tau_tilde_ok"]
-        assert report["disc_order_computed"] == 2 * n
-        # the open question: the alternative formula disagrees for n != 3
-        assert report["disc_order_formula_2dim_plus_2"] == 4 * n - 2
+        rows = det_chi_report(n, sample_count=8, seed=0)
+        assert [row[0] for row in rows] == [
+            "reflection_characters", "generators_in_kernel",
+            "tau_tilde_involution", "disc_group_order"]
+        assert all(ok for _name, _ref, ok, _detail in rows), rows
+        assert rows[1][3] == "det*chi = +1 on 8 generator images"
+        # computed order 2n; the open question: the alternative formula
+        # 2dim+2 gives 4n-2, which disagrees for n != 3
+        assert rows[3][3].startswith(
+            "computed %d; alternative formula 2dim+2 gives %d ("
+            % (2 * n, 4 * n - 2))
 
 
 def test_tau_tilde_perp_action():
