@@ -22,11 +22,14 @@ SCHEMA_VERSION = 1
 ALL_DEFAULTS = {"n": 4}
 
 
-def _n_value(text):
-    value = int(text)
-    if value < 2:
-        raise argparse.ArgumentTypeError("n must be at least 2")
-    return value
+def _at_least(flag, low):
+    def parse(text):
+        value = int(text) if text.removeprefix("-").isdecimal() else low - 1
+        if value < low:
+            raise argparse.ArgumentTypeError(
+                "%s must be an integer of at least %d" % (flag, low))
+        return value
+    return parse
 
 
 def _coords(flag, count):
@@ -53,9 +56,9 @@ def _with_h(text):
 
 # suite parameter -> argparse keywords of its flag --<parameter>
 FLAGS = {
-    "n": {"type": _n_value,
+    "n": {"type": _at_least("--n", 2),
           "help": "class parameter n >= 2 (default %(default)s)"},
-    "samples": {"type": int},
+    "samples": {"type": _at_least("--samples", 1)},
     "with_h": {"type": _with_h,
                "help": "six comma-separated degree-two coordinates; adds "
                        "the rank-3 joint-stabilizer check"},

@@ -9,7 +9,7 @@ operators; products of the 8 generator matrices over subsets give the 256
 monomial basis of C(V) = End(S).
 """
 
-from .exact import IntMatrix, RatMatrix
+from .exact import IntMatrix
 from .lattice import IntLattice
 
 ALL = 15  # full subset {1,2,3,4}
@@ -201,11 +201,6 @@ def splus_pairing(x, y):
     return sum(a * b for a, b in zip(x, gy))
 
 
-def sminus_pairing(x, y):
-    gy = SMINUS_GRAM.apply(y)
-    return sum(a * b for a, b in zip(x, gy))
-
-
 # --- monomial basis of C(V) -------------------------------------------------
 
 _MON = None
@@ -217,11 +212,10 @@ def _tables():
     global _MON, _MON_SPARSE, _DECOMP_ORDER
     if _MON is not None:
         return
-    mon = [None] * 256
-    mon[0] = IntMatrix.identity(16)
+    mon = [IntMatrix.identity(16)]
     for m in range(1, 256):
-        low = (m & -m).bit_length() - 1
-        mon[m] = GEN_MATRICES[low] @ mon[m ^ (1 << low)]
+        high = m.bit_length() - 1
+        mon.append(_mul_gen_right(mon[m ^ (1 << high)], high))
     _MON = tuple(mon)
     sparse = []
     for m in range(256):
@@ -357,7 +351,7 @@ def parity_of(x):
 
 
 def _scalar_of(x):
-    """c if x == c*I (c integer or Fraction), else None."""
+    """c if x == c*I, else None."""
     c = x.data[0][0]
     for i in range(16):
         for j in range(16):
@@ -414,42 +408,31 @@ def group_flags(x):
     """Membership tests for the Clifford group tower and the standard
     representation rho(x): v -> x v x^-1 as an 8x8 integer matrix.
 
-    Raises NotInCliffordGroup if conjugation by x does not stabilize V.
-    Tests run over Q (inverse taken rationally when the element is not a
-    unit of the integral algebra); integrality of rho is checked after.
+    A Clifford-group element is a scalar times a product of vectors, so
+    x x* is a nonzero scalar c and x^-1 = x* / c: rho(x) e_k is x e_k x*
+    divided exactly by c.  Raises NotInCliffordGroup if x x* is not a
+    nonzero scalar or conjugation by x does not stabilize V, and
+    ValueError if rho(x) is not integral.
     """
     xs = star(x)
-    orientation = _scalar_of(x @ xs)
+    c = _scalar_of(x @ xs)
+    if not c:
+        raise NotInCliffordGroup("x x* is not a nonzero scalar")
     norm = _scalar_of(x @ alpha(xs))  # tau(x) = alpha(star(x))
     par = parity_of(x)
-    if orientation in (1, -1):
-        inv = xs if orientation == 1 else xs.scale(-1)
-    elif norm in (1, -1):
-        tx = alpha(xs)
-        inv = tx if norm == 1 else tx.scale(-1)
-    else:
-        try:
-            inv = x.to_rat().inverse()
-        except ValueError:
-            raise NotInCliffordGroup("element is not invertible over Q")
-        x = x.to_rat()
     rho_cols = []
     for k in range(8):
-        y = _mul_gen_right(x, k) if isinstance(inv, IntMatrix) else x @ GEN_MATRICES[k].to_rat()
-        y = y @ inv
+        y = _mul_gen_right(x, k) @ xs
         w = _extract_vector(y)
         if _embed_entries(w) != _nonzero_entries(y):
             raise NotInCliffordGroup("conjugation does not stabilize V")
-        rho_cols.append(w)
-    rho_rat = RatMatrix(list(zip(*rho_cols)))
-    if not rho_rat.is_integral():
-        raise ValueError("rho(x) not integral")
-    rho = rho_rat.to_int()
-    in_g = True
-    in_pin = orientation == 1
+        if any(a % c for a in w):
+            raise ValueError("rho(x) not integral")
+        rho_cols.append(tuple(a // c for a in w))
+    rho = IntMatrix._wrap(tuple(zip(*rho_cols)))
+    in_pin = c == 1
     in_spin = in_pin and par == "even"
-    in_g0 = norm == 1
-    return GroupFlags(in_g, in_pin, in_spin, in_g0, norm, orientation, par, rho)
+    return GroupFlags(True, in_pin, in_spin, norm == 1, norm, c, par, rho)
 
 
 def _extract_vector(y):

@@ -61,12 +61,6 @@ class _Matrix:
         return cls([[1 if i == j else 0 for j in range(n)] for i in range(n)])
 
     @classmethod
-    def zero(cls, rows, cols=None):
-        if cols is None:
-            cols = rows
-        return cls([[0] * cols for _ in range(rows)])
-
-    @classmethod
     def diagonal(cls, entries):
         n = len(entries)
         return cls([[entries[i] if i == j else 0 for j in range(n)] for i in range(n)])
@@ -74,9 +68,6 @@ class _Matrix:
     def __getitem__(self, ij):
         i, j = ij
         return self.data[i][j]
-
-    def row(self, i):
-        return self.data[i]
 
     def column(self, j):
         return tuple(r[j] for r in self.data)

@@ -7,7 +7,8 @@ computed from Smith normal form of the Gram matrix.
 
 from fractions import Fraction
 
-from .exact import IntMatrix, RatMatrix, integer_kernel, smith_normal_form
+from .exact import (IntMatrix, RatMatrix, integer_kernel, primitive_vector,
+                    smith_normal_form)
 
 
 class IntLattice:
@@ -55,14 +56,15 @@ class IntLattice:
         return cls(g, label)
 
     def positive_basis(self):
-        """A fixed rational basis of a maximal positive-definite subspace.
+        """A fixed basis of a maximal positive-definite subspace, as
+        primitive integral vectors.
 
         Computed once per lattice by Gram diagonalization over Q, so that
         the orientation character is deterministic.
         """
         if self._positive_basis is None:
-            pos = [v for v in _diagonalize(self) if self.square(v) > 0]
-            self._positive_basis = tuple(pos)
+            self._positive_basis = tuple(
+                primitive_vector(v) for v in _diagonalize(self) if self.square(v) > 0)
         return self._positive_basis
 
     def __repr__(self):
@@ -247,16 +249,14 @@ def discriminant_group(lattice):
     if det == 0:
         raise ValueError("degenerate Gram matrix")
     snf = smith_normal_form(lattice.gram)
-    gram_inv = lattice.gram.to_rat().inverse()
-    left_inv = snf.left.to_rat().inverse()
+    # left G right = D gives G^-1 left^-1 = right D^-1: the lift
+    # G^-1 left^-1 e_k is column k of right divided by f_k
     factors = []
     lifts = []
     for k, f in enumerate(snf.invariant_factors):
         if f > 1:
             factors.append(f)
-            e = tuple(Fraction(int(i == k)) for i in range(lattice.rank))
-            lift = gram_inv.apply(left_inv.apply(e))
-            lifts.append(tuple(lift))
+            lifts.append(tuple(Fraction(x, f) for x in snf.right.column(k)))
     group = DiscriminantGroup(lattice, factors, lifts)
     if group.order != abs(det):
         raise ValueError("discriminant group order is not |det|")
@@ -273,11 +273,10 @@ def chi_character(lattice, g, disc=None):
         disc = discriminant_group(lattice)
     if disc.is_trivial():
         return 1
-    m = g.matrix.to_rat()
     for eps in (1, -1):
         ok = True
         for lift in disc.lifts:
-            image = m.apply(lift)
+            image = g.matrix.apply(lift)
             if any((a - eps * b).denominator != 1 for a, b in zip(image, lift)):
                 ok = False
                 break
@@ -289,27 +288,23 @@ def chi_character(lattice, g, disc=None):
 def ort_character(lattice, g, positive_basis=None):
     """Orientation character: sign of det of (project to P) o g restricted
     to a maximal positive-definite subspace P.  Independent of the choice
-    of P's basis."""
+    of P's basis.
+
+    With B a basis of P in integral columns, that map has the matrix
+    (B^T G B)^-1 B^T G M B, and det(B^T G B) > 0, so the sign is that of
+    the integer det(B^T G M B)."""
     if positive_basis is None:
         basis = lattice.positive_basis()
     else:
-        basis = [tuple(Fraction(x) for x in v) for v in positive_basis]
-        gp = RatMatrix([[lattice.pairing(u, v) for v in basis] for u in basis])
+        basis = [primitive_vector(v) for v in positive_basis]
+        gp = [[lattice.pairing(u, v) for v in basis] for u in basis]
         for k in range(1, len(basis) + 1):
-            if RatMatrix([row[:k] for row in gp.data[:k]]).det() <= 0:
+            if IntMatrix([row[:k] for row in gp[:k]]).det() <= 0:
                 raise ValueError("positive_basis is not positive definite")
     if not basis:
         return 1
-    m = g.matrix.to_rat()
-    gramp = RatMatrix([[lattice.pairing(u, v) for v in basis] for u in basis])
-    gramp_inv = gramp.inverse()
-    cols = []
-    for v in basis:
-        gv = m.apply(v)
-        rhs = [lattice.pairing(u, gv) for u in basis]
-        cols.append(gramp_inv.apply(rhs))
-    t = RatMatrix(list(zip(*cols)))
-    d = t.det()
+    images = [g.matrix.apply(v) for v in basis]
+    d = IntMatrix([[lattice.pairing(u, w) for w in images] for u in basis]).det()
     if d == 0:
         raise ValueError("degenerate projection; not an isometry?")
     return 1 if d > 0 else -1

@@ -155,10 +155,9 @@ def sl4_generator(m, n):
     flags = group_flags(s16)
     if not flags.in_spin:
         raise ValueError("wedge action is not a Spin element")
-    dual = m.to_rat().inverse().transpose()
-    if not dual.is_integral():
-        raise ValueError("inverse transpose is not integral")
-    if flags.rho != _block_diag(m, dual.to_int()):
+    # the dual block is the inverse transpose of M: read it off rho, certify
+    dual = IntMatrix([[flags.rho[4 + i, 4 + j] for j in range(4)] for i in range(4)])
+    if flags.rho != _block_diag(m, dual) or not (m.transpose() @ dual).is_identity():
         raise ValueError("conjugation action differs from M + dual")
     return StabilizerGenerator("sl4", m, n, mu_tilde(s16, flags))
 
@@ -387,10 +386,12 @@ def bivector_transvection(h6, v):
     det = b.det()
     if det == 0:
         raise ValueError("degenerate degree-two class")
-    adj = b.to_rat().inverse().scale(det)
-    if not adj.is_integral():
-        raise ValueError("adjugate is not integral")
-    cv = adj.to_int().apply(v)
+    # adj(B) = -Pf(B) B(*h), with Pf(B) = int(h^2)/2 and *h the Hodge dual
+    hodge = (h6[5], -h6[4], h6[3], h6[2], -h6[1], h6[0])
+    adj = _bivector_matrix(hodge).scale(-h2_square(h6) // 2)
+    if b @ adj != IntMatrix.identity(4).scale(det):
+        raise ValueError("adjugate certificate failed")
+    cv = adj.apply(v)
     rows = [[int(i == j) - v[i] * cv[j] for j in range(4)] for i in range(4)]
     m = IntMatrix(rows)
     if m.det() != 1:

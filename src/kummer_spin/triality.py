@@ -8,18 +8,15 @@ from a fixed +2 class in S+ and a fixed unit vector in V.
 """
 
 from .clifford import (
+    ALL,
+    GEN_ENTRIES,
     SMINUS_GRAM,
     SPLUS_GRAM,
     V_GRAM,
-    act_vector,
+    _TAU_SIGN,
     clifford_embed,
     group_flags,
     mukai_triple,
-    pairing_s,
-    sminus_coords,
-    sminus_embed,
-    splus_coords,
-    splus_embed,
     splus_pairing,
     SPLUS_MASKS,
     SMINUS_MASKS,
@@ -56,46 +53,48 @@ def splus_block(a):
     return a[16:24]
 
 
-def _splus_times_sminus(sp, sm):
-    """The V-component of the product of an S+ and an S- element.
-
-    Defined by (result, x)_V = (x . sp, sm)_S for all x in V; for the
-    hyperbolic V-Gram the inverse pairing swaps the two 4-blocks.
+def _product_table():
+    """The nonzero products of basis vectors, (i, j, k, s) for
+    e_i e_j = s e_k.  V times a spinor half is the Clifford action of the
+    generator entries; S+ times S- lands in V through the V-pairing:
+    (e_k c, ALL^r)_S = s _TAU_SIGN[r] for the entry (r, c, s) of generator
+    k, and the hyperbolic V-Gram sends the k-th pairing to index k+4 mod 8.
     """
-    sp16 = splus_embed(sp)
-    sm16 = sminus_embed(sm)
-    phi = []
-    for k in range(8):
-        basis = tuple(int(i == k) for i in range(8))
-        phi.append(pairing_s(act_vector(basis, sp16), sm16))
-    # v = G^-1 phi with G = [[0,I],[I,0]]: swap halves
-    return tuple(phi[4:8]) + tuple(phi[0:4])
+    minus = {m: 8 + i for i, m in enumerate(SMINUS_MASKS)}
+    plus = {m: 16 + i for i, m in enumerate(SPLUS_MASKS)}
+    table = []
+    for k, entries in enumerate(GEN_ENTRIES):
+        for r, c, s in entries:
+            if c in plus:
+                products = ((k, plus[c], minus[r], s),
+                            (plus[c], minus[ALL ^ r], (k + 4) % 8,
+                             s * _TAU_SIGN[r]))
+            else:
+                products = ((k, minus[c], plus[r], s),)
+            for i, j, out, sign in products:
+                table += [(i, j, out, sign), (j, i, out, sign)]
+    return tuple(table)
+
+
+PRODUCT_TABLE = _product_table()
 
 
 def ax_product(a, b):
     """The commutative product on V + S- + S+."""
-    av, am, ap = v_block(a), sminus_block(a), splus_block(a)
-    bv, bm, bp = v_block(b), sminus_block(b), splus_block(b)
-    # V x S+ -> S-  and  V x S- -> S+ (Clifford action)
-    s16 = act_vector(av, splus_embed(bp))
-    t16 = act_vector(bv, splus_embed(ap))
-    minus = tuple(x + y for x, y in zip(sminus_coords(s16), sminus_coords(t16)))
-    s16 = act_vector(av, sminus_embed(bm))
-    t16 = act_vector(bv, sminus_embed(am))
-    plus = tuple(x + y for x, y in zip(splus_coords(s16), splus_coords(t16)))
-    # S+ x S- -> V
-    vec = tuple(x + y for x, y in zip(_splus_times_sminus(ap, bm),
-                                      _splus_times_sminus(bp, am)))
-    return ax_element(vec, minus, plus)
+    out = [0] * 24
+    for i, j, k, s in PRODUCT_TABLE:
+        if a[i] and b[j]:
+            out[k] += s * a[i] * b[j]
+    return tuple(out)
 
 
 def multiplication_operator(a):
     """24x24 matrix of multiplication by the element a in the algebra."""
-    cols = []
-    for j in range(24):
-        basis = tuple(int(i == j) for i in range(24))
-        cols.append(ax_product(a, basis))
-    return IntMatrix(list(zip(*cols)))
+    rows = [[0] * 24 for _ in range(24)]
+    for i, j, k, s in PRODUCT_TABLE:
+        if a[i]:
+            rows[k][j] += s * a[i]
+    return IntMatrix(rows)
 
 
 class AXAutomorphism:

@@ -268,8 +268,9 @@ def find_orthogonal_square_vectors(constraints, squares, rng=None,
 
 
 def random_weil_pair(rng, n_max=None, k_max=None, bound=2):
-    """A seeded pair (w, h) of orthogonal primitive negative classes."""
-    while True:
+    """A seeded pair (w, h) of orthogonal primitive negative classes;
+    SearchExhausted after 1000 drawn classes w."""
+    for _ in range(1000):
         w = tuple(rng.randint(-bound, bound) for _ in range(8))
         if not any(w):
             continue
@@ -296,6 +297,7 @@ def random_weil_pair(rng, n_max=None, k_max=None, bound=2):
             if k_max is not None and k > k_max:
                 continue
             return w, h
+    raise SearchExhausted("no admissible pair in 1000 draws")
 
 
 # --- the trivial-discriminant certificate ------------------------------------
@@ -359,8 +361,8 @@ def _intersect(space_a, space_b):
 def _orthogonal_partner(a, plane, theta_prime):
     """b in the plane with (a, theta'(b)) = 0, as an integer vector."""
     r, s = plane[0], plane[1]
-    tr = theta_prime.to_rat().apply(r)
-    ts = theta_prime.to_rat().apply(s)
+    tr = theta_prime.apply(r)
+    ts = theta_prime.apply(s)
     lam = v_pairing(a, ts)
     mu = -v_pairing(a, tr)
     b = tuple(lam * ri + mu * si for ri, si in zip(r, s))
@@ -395,9 +397,9 @@ def hermitian_and_discriminant(ws, rng):
                 raise SearchExhausted("plane intersection is not 2-dimensional")
             planes[(i, jj)] = inter
 
-    tp = ws.theta_prime.to_rat()
     checks["planes_theta_invariant"] = all(
-        in_span(tp.apply(v), planes[key]) for key in planes for v in planes[key])
+        in_span(ws.theta_prime.apply(v), planes[key])
+        for key in planes for v in planes[key])
 
     # the two involutions: eta_i = m-pair of (e_i, f_i); squares to the
     # identity and reverses the sign of the V-pairing
@@ -422,7 +424,7 @@ def hermitian_and_discriminant(ws, rng):
         for ev in eta_v:
             vals = set()
             for v in plane:
-                img = ev.to_rat().apply(v)
+                img = ev.apply(v)
                 for eps in (1, -1):
                     if tuple(img) == tuple(Fraction(eps) * x for x in v):
                         vals.add(eps)

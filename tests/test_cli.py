@@ -188,3 +188,12 @@ def test_verify_all_dispatches_by_module_global(monkeypatch, tmp_path):
     assert calls == [(name, {"seed": 5, **({"n": 4} if SUITE_FLAGS[name]
                                            else {})})
                      for name in SUITE_ORDER]
+
+
+@pytest.mark.parametrize("args", [("verify", "stabilizer", "--samples", "0"),
+                                  ("verify", "detchi", "--samples", "-3")])
+def test_nonpositive_samples_exit_2(args):
+    result = run_cli(*args)
+    assert result.returncode == 2
+    assert "--samples must be an integer of at least 1" in result.stderr
+    assert result.stdout == ""

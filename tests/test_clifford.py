@@ -315,10 +315,63 @@ def test_spin_elements_have_trivial_norm():
 
 def test_group_flags_rational_inverse_path():
     # 2*Id stabilizes V by conjugation but is not a unit of the integral
-    # algebra: the membership test must go through the rational inverse
+    # algebra: x x* = 4, and rho comes from x e_k x* divided exactly by 4
     x = IntMatrix.identity(16).scale(2)
     flags = group_flags(x)
     assert flags.in_g
     assert flags.norm is None and flags.orientation is None
     assert flags.rho == IntMatrix.identity(8)
     assert not flags.in_pin and not flags.in_g0
+
+
+def _rational_rho(x):
+    """rho(x) by rational conjugation: column k is x e_k x^-1 read in V,
+    with x^-1 = inv / den for an integer matrix inv."""
+    from fractions import Fraction
+    from math import lcm
+
+    inv = x.to_rat().inverse()
+    den = lcm(*(q.denominator for row in inv.data for q in row))
+    inv = IntMatrix(inv.scale(den).data)
+    cols = []
+    for k in range(8):
+        y = x @ GEN_MATRICES[k] @ inv
+        w = cl._extract_vector(y)
+        assert y == clifford_embed(w)
+        cols.append(tuple(Fraction(a, den) for a in w))
+    return IntMatrix(list(zip(*cols)))
+
+
+def test_group_flags_rho_matches_rational_conjugation():
+    rng = random.Random(313)
+    cases = [IntMatrix.identity(16).scale(2),
+             clifford_embed((3, 0, 0, 0, -3, 0, 0, 0))]  # 3v with Q(v) = -1
+    while len(cases) < 40:
+        x = IntMatrix.identity(16).scale(rng.choice((1, -1, 2)))
+        for _ in range(rng.randint(1, 4)):
+            while True:
+                v = tuple(rng.randint(-2, 2) for _ in range(8))
+                if v_pairing(v, v) in (2, -2):
+                    break
+            x = x @ clifford_embed(v)
+        cases.append(x)
+    for x in cases:
+        assert group_flags(x).rho == _rational_rho(x)
+
+
+def test_group_flags_non_integral_rho_raises_value_error():
+    # v = e1 + 2 e1* has (v,v) = 4: rho(v) is minus the reflection
+    # x -> x - (x,v)/2 v, which is not integral on e1*
+    x = clifford_embed((1, 0, 0, 0, 2, 0, 0, 0))
+    with pytest.raises(ValueError) as info:
+        group_flags(x)
+    assert not isinstance(info.value, NotInCliffordGroup)
+
+
+def test_group_flags_rejects_zero_or_non_scalar_norm():
+    # an isotropic vector has x x* = 0; a generic matrix has x x* not scalar
+    rng = random.Random(61)
+    dense = IntMatrix([[rng.randint(-2, 2) for _ in range(16)] for _ in range(16)])
+    for x in (clifford_embed(E1), dense):
+        with pytest.raises(NotInCliffordGroup, match="nonzero scalar"):
+            group_flags(x)

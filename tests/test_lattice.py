@@ -195,3 +195,71 @@ def test_ort_of_negative_vector_reflection():
         checked[uu] += 1
         expected = 1 if uu == -2 else -1
         assert ort_character(lat, reflection(lat, u)) == expected
+
+
+def _rational_ort(lattice, basis, g):
+    """ort by the rational projection onto a rational positive basis:
+    the sign of det((B^T G B)^-1 B^T G M B)."""
+    from kummer_spin.exact import RatMatrix
+
+    gramp_inv = RatMatrix([[lattice.pairing(u, v) for v in basis]
+                           for u in basis]).inverse()
+    m = g.matrix.to_rat()
+    cols = [gramp_inv.apply([lattice.pairing(u, m.apply(v)) for u in basis])
+            for v in basis]
+    return 1 if RatMatrix(list(zip(*cols))).det() > 0 else -1
+
+
+def _random_isometry(lat, rng, bound):
+    g = LatticeIsometry(lat, IntMatrix.identity(lat.rank))
+    for _ in range(rng.randint(1, 4)):
+        while True:
+            u = tuple(rng.randint(-bound, bound) for _ in range(lat.rank))
+            if lat.square(u) in (2, -2):
+                break
+        g = g @ reflection(lat, u)
+    return g
+
+
+def test_ort_character_matches_rational_projection():
+    from kummer_spin.lattice import _diagonalize
+    from kummer_spin.stabilizer import bbf_lattice
+
+    rng = random.Random(289)
+    signs = set()
+    for lat in (hyperbolic(4), bbf_lattice(3), bbf_lattice(4), bbf_lattice(5)):
+        assert all(isinstance(x, int) for v in lat.positive_basis() for x in v)
+        basis = [v for v in _diagonalize(lat) if lat.square(v) > 0]
+        for _ in range(15):
+            g = _random_isometry(lat, rng, 2)
+            got = ort_character(lat, g)
+            assert got == _rational_ort(lat, basis, g)
+            signs.add(got)
+    assert signs == {1, -1}
+
+
+def test_ort_character_rejects_indefinite_positive_basis():
+    lat = hyperbolic(1)
+    ident = LatticeIsometry(lat, IntMatrix.identity(2))
+    with pytest.raises(ValueError):
+        ort_character(lat, ident, positive_basis=[(1, -1)])
+
+
+def test_discriminant_lifts_match_inverse_gram():
+    from fractions import Fraction
+
+    from kummer_spin.exact import smith_normal_form
+    from kummer_spin.stabilizer import bbf_lattice
+
+    lattices = [bbf_lattice(n) for n in (2, 3, 4, 5)]
+    lattices += [IntLattice([[-6]]), IntLattice([[2, 1, 0], [1, -4, 0], [0, 0, 6]])]
+    for lat in lattices:
+        snf = smith_normal_form(lat.gram)
+        gram_inv = lat.gram.to_rat().inverse()
+        left_inv = snf.left.to_rat().inverse()
+        expected = []
+        for k, f in enumerate(snf.invariant_factors):
+            if f > 1:
+                e = tuple(Fraction(int(i == k)) for i in range(lat.rank))
+                expected.append(gram_inv.apply(left_inv.apply(e)))
+        assert discriminant_group(lat).lifts == tuple(expected)

@@ -16,3 +16,17 @@ def test_no_assert_statements_in_src():
             if isinstance(node, ast.Assert):
                 found.append("%s:%d" % (path.name, node.lineno))
     assert found == []
+
+
+def test_group_and_algebra_layers_are_integer_only():
+    # their inverses come from structural identities, not rational elimination
+    found = []
+    for name in ("clifford.py", "triality.py", "stabilizer.py"):
+        path = SRC / name
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            names = {getattr(node, "id", None), getattr(node, "attr", None)}
+            if isinstance(node, ast.ImportFrom):
+                names |= {alias.name for alias in node.names}
+            if names & {"RatMatrix", "to_rat"}:
+                found.append("%s:%d" % (name, node.lineno))
+    assert found == []

@@ -230,3 +230,34 @@ def test_generator_product_twist_matches_orientation():
     for g in sample_generators(n, 8, rng):
         assert g.ax.product_twist() == g.orientation_sign()
         assert g.ax.is_algebra_automorphism() == (g.ax.product_twist() == 1)
+
+
+def test_sl4_dual_block_is_rational_inverse_transpose():
+    rng = random.Random(147)
+    for _ in range(12):
+        m = random_sl4(rng, length=5)
+        v = sl4_generator(m, 3).v_matrix()
+        dual = IntMatrix([[v[4 + i, 4 + j] for j in range(4)] for i in range(4)])
+        assert dual == m.to_rat().inverse().transpose().to_int()
+
+
+def test_bivector_transvection_matches_rational_adjugate():
+    from kummer_spin.stabilizer import _bivector_matrix, bivector_transvection
+
+    rng = random.Random(382)
+    pfaffian_signs = set()
+    done = 0
+    while done < 40:
+        h6 = tuple(rng.randint(-3, 3) for _ in range(6))
+        if h2_square(h6) == 0:
+            continue
+        done += 1
+        pfaffian_signs.add(h2_square(h6) > 0)
+        v = tuple(rng.randint(-2, 2) for _ in range(4))
+        b = _bivector_matrix(h6)
+        adj = b.to_rat().inverse().scale(b.det()).to_int()
+        cv = adj.apply(v)
+        expected = IntMatrix([[int(i == j) - v[i] * cv[j] for j in range(4)]
+                              for i in range(4)])
+        assert bivector_transvection(h6, v) == expected
+    assert pfaffian_signs == {True, False}

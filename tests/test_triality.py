@@ -346,3 +346,49 @@ def test_product_twist_values():
     mixed = m_tilde_pair(mukai_triple(1, [0] * 6, 1),
                          mukai_triple(1, [0] * 6, -1))
     assert mixed.product_twist() == -1
+
+
+def _reference_ax_product(a, b):
+    """The product by its definition: Clifford action of V on the spinor
+    halves, and S+ x S- -> V through (result, x)_V = (x . sp, sm)_S."""
+    from kummer_spin.clifford import (act_vector, pairing_s, sminus_coords,
+                                      sminus_embed, splus_coords, splus_embed)
+
+    def splus_times_sminus(sp, sm):
+        phi = [pairing_s(act_vector(unit24(k)[:8], splus_embed(sp)),
+                         sminus_embed(sm)) for k in range(8)]
+        return phi[4:8] + phi[0:4]  # G^-1 for the hyperbolic V-Gram
+
+    av, am, ap = v_block(a), sminus_block(a), splus_block(a)
+    bv, bm, bp = v_block(b), sminus_block(b), splus_block(b)
+    minus = [x + y for x, y in zip(
+        sminus_coords(act_vector(av, splus_embed(bp))),
+        sminus_coords(act_vector(bv, splus_embed(ap))))]
+    plus = [x + y for x, y in zip(
+        splus_coords(act_vector(av, sminus_embed(bm))),
+        splus_coords(act_vector(bv, sminus_embed(am))))]
+    vec = [x + y for x, y in zip(splus_times_sminus(ap, bm),
+                                 splus_times_sminus(bp, am))]
+    return tuple(vec + minus + plus)
+
+
+def test_product_table_shape():
+    from kummer_spin.triality import PRODUCT_TABLE
+
+    assert len(PRODUCT_TABLE) == 192
+    assert len({(i, j) for i, j, _k, _s in PRODUCT_TABLE}) == 192
+    assert all(s in (1, -1) for *_ijk, s in PRODUCT_TABLE)
+
+
+def test_ax_product_matches_definition():
+    for i in range(24):
+        for j in range(24):
+            assert ax_product(unit24(i), unit24(j)) \
+                == _reference_ax_product(unit24(i), unit24(j))
+    rng = random.Random(191)
+    for _ in range(200):
+        a = tuple(rng.randint(-4, 4) for _ in range(24))
+        b = tuple(rng.randint(-4, 4) for _ in range(24))
+        assert ax_product(a, b) == _reference_ax_product(a, b)
+        cols = [_reference_ax_product(a, unit24(j)) for j in range(24)]
+        assert multiplication_operator(a) == IntMatrix(list(zip(*cols)))

@@ -245,3 +245,9 @@ def test_hermitian_nondegenerate():
     from kummer_spin.clifford import V_GRAM
 
     assert V_GRAM.det() != 0
+
+
+def test_random_weil_pair_is_bounded():
+    # no primitive negative class has n = -w^2/2 <= 0
+    with pytest.raises(SearchExhausted):
+        random_weil_pair(random.Random(0), n_max=0)
