@@ -261,7 +261,7 @@ def wedge4_matrix(m8):
             + u[p3] * v[q3] - u[p4] * v[q4] + u[p5] * v[q5]
             for p0, q0, p1, q1, p2, q2, p3, q3, p4, q4, p5, q5
             in _COLUMN_SPLITS))
-    return IntMatrix._wrap(tuple(rows))
+    return IntMatrix._wrap(rows)
 
 
 def invariant_rank(v_actions, expect_contains=None):
@@ -285,7 +285,7 @@ def invariant_rank(v_actions, expect_contains=None):
             basis = [primitive_vector(v) for v in rational_kernel(diff)]
             continue
         # kernel of the 70 x len(basis) map expressed in the current basis
-        columns = IntMatrix._wrap(tuple(zip(*basis)))
+        columns = IntMatrix._wrap(zip(*basis))
         inner = rational_kernel(diff @ columns)
         basis = [primitive_vector(columns.apply(primitive_vector(v)))
                  for v in inner]

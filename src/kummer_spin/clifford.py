@@ -51,13 +51,10 @@ def _entries_to_matrix(entries):
     rows = [[0] * 16 for _ in range(16)]
     for r, c, s in entries:
         rows[r][c] = s
-    return IntMatrix(rows)
+    return IntMatrix._wrap(rows)
 
 
 GEN_MATRICES = tuple(_entries_to_matrix(e) for e in GEN_ENTRIES)
-
-# parity operator: (-1)^degree on S; realizes the main involution by conjugation
-PARITY = IntMatrix.diagonal([(-1) ** degree(m) for m in range(16)])
 
 V_GRAM = IntMatrix([[0] * 4 + [int(i == j) for j in range(4)] for i in range(4)]
                    + [[int(i == j) for j in range(4)] + [0] * 4 for i in range(4)])
@@ -89,7 +86,7 @@ def clifford_embed(v):
         if coef:
             for r, c, s in GEN_ENTRIES[k]:
                 rows[r][c] += coef * s
-    return IntMatrix(rows)
+    return IntMatrix._wrap(rows)
 
 
 def wedge_matrix(spinor):
@@ -102,7 +99,7 @@ def wedge_matrix(spinor):
             if a & b:
                 continue
             rows[a | b][b] += spinor[a] * merge_sign(a, b)
-    return IntMatrix(rows)
+    return IntMatrix._wrap(rows)
 
 
 def merge_sign(a, b):
@@ -151,25 +148,6 @@ def splus_embed(v8):
     return tuple(out)
 
 
-def sminus_embed(v8):
-    out = [0] * 16
-    for i, m in enumerate(SMINUS_MASKS):
-        out[m] = v8[i]
-    return tuple(out)
-
-
-def splus_coords(spinor):
-    if any(spinor[m] for m in SMINUS_MASKS):
-        raise ValueError("spinor not even")
-    return tuple(spinor[m] for m in SPLUS_MASKS)
-
-
-def sminus_coords(spinor):
-    if any(spinor[m] for m in SPLUS_MASKS):
-        raise ValueError("spinor not odd")
-    return tuple(spinor[m] for m in SMINUS_MASKS)
-
-
 def _gram_from_masks(masks):
     g = []
     for a in masks:
@@ -190,10 +168,6 @@ SMINUS_GRAM = _gram_from_masks(SMINUS_MASKS)
 
 def splus_lattice():
     return IntLattice(SPLUS_GRAM, label="S+")
-
-
-def sminus_lattice():
-    return IntLattice(SMINUS_GRAM, label="S-")
 
 
 def splus_pairing(x, y):
@@ -268,7 +242,7 @@ def monomial_recompose(coeffs):
         if c:
             for i, j, val in _MON_SPARSE[m]:
                 rows[i][j] += c * val
-    return IntMatrix(rows)
+    return IntMatrix._wrap(rows)
 
 
 def monomial_rank():
@@ -309,9 +283,8 @@ def tau(x):
     (s, x t)_S, so tau(x) = B x^T B with B the Gram of pairing_s; entrywise
     tau(x)[i][j] = s_i s_j x[ALL^j][ALL^i]."""
     s, d = _TAU_SIGN, x.data
-    return IntMatrix._wrap(tuple(
-        tuple(s[i] * s[j] * d[ALL ^ j][ALL ^ i] for j in range(16))
-        for i in range(16)))
+    return IntMatrix._wrap(
+        [s[i] * s[j] * d[ALL ^ j][ALL ^ i] for j in range(16)] for i in range(16))
 
 
 _PARITY_SIGN = tuple((-1) ** degree(m) for m in range(16))
@@ -319,9 +292,9 @@ _PARITY_SIGN = tuple((-1) ** degree(m) for m in range(16))
 
 def alpha(x):
     """Main involution: conjugation by the parity operator."""
-    return IntMatrix._wrap(tuple(
-        tuple(_PARITY_SIGN[i] * _PARITY_SIGN[j] * x.data[i][j] for j in range(16))
-        for i in range(16)))
+    return IntMatrix._wrap(
+        [_PARITY_SIGN[i] * _PARITY_SIGN[j] * x.data[i][j] for j in range(16)]
+        for i in range(16))
 
 
 def star(x):
@@ -401,7 +374,7 @@ def _mul_gen_right(x, k):
         else:
             for i in range(n):
                 col[i] -= xr[i]
-    return IntMatrix._wrap(tuple(zip(*cols)))
+    return IntMatrix._wrap(zip(*cols))
 
 
 def group_flags(x):
@@ -429,7 +402,7 @@ def group_flags(x):
         if any(a % c for a in w):
             raise ValueError("rho(x) not integral")
         rho_cols.append(tuple(a // c for a in w))
-    rho = IntMatrix._wrap(tuple(zip(*rho_cols)))
+    rho = IntMatrix._wrap(zip(*rho_cols))
     in_pin = c == 1
     in_spin = in_pin and par == "even"
     return GroupFlags(True, in_pin, in_spin, norm == 1, norm, c, par, rho)

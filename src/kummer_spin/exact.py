@@ -1,12 +1,17 @@
-"""Exact integer and rational linear algebra on small dense matrices.
+"""Exact integer and rational linear algebra on small matrices.
 
 Everything here is arbitrary-precision: entries are Python ints or
 fractions.Fraction, never floats.  Matrices are immutable after
-construction and all operations return fresh values.
+construction and all operations return fresh values.  They are stored
+densely, but most operands (Clifford elements, automorphisms of the
+24-dimensional algebra) are signed permutations or close to them, so
+products and matrix-vector products skip zero entries.
 """
 
 from fractions import Fraction
+from itertools import compress
 from math import gcd, isqrt, lcm
+from operator import add, sub
 
 
 def _as_int(x):
@@ -30,10 +35,11 @@ def _as_frac(x):
 
 
 class _Matrix:
-    """Shared dense-matrix plumbing; subclasses fix the entry domain."""
+    """Shared matrix plumbing; subclasses fix the entry domain and its zero."""
 
     __slots__ = ("rows", "cols", "data")
     _cast = None
+    _zero = None
 
     def __init__(self, data):
         cast = type(self)._cast
@@ -48,22 +54,25 @@ class _Matrix:
 
     @classmethod
     def _wrap(cls, rows):
-        """Internal fast path: rows must already be a tuple of equal-length
-        tuples with entries in the right domain."""
+        """Internal fast path, unchecked: rows must be nonempty, of equal
+        positive length, with entries in the right domain."""
         obj = object.__new__(cls)
+        obj.data = rows = tuple(map(tuple, rows))
         obj.rows = len(rows)
         obj.cols = len(rows[0])
-        obj.data = rows
         return obj
 
     @classmethod
     def identity(cls, n):
-        return cls([[1 if i == j else 0 for j in range(n)] for i in range(n)])
+        return cls.diagonal((1,) * n)
 
     @classmethod
     def diagonal(cls, entries):
-        n = len(entries)
-        return cls([[entries[i] if i == j else 0 for j in range(n)] for i in range(n)])
+        if not entries:
+            raise ValueError("matrix dimensions must be positive")
+        zeros = (cls._zero,) * len(entries)
+        return cls._wrap(zeros[:i] + (cls._cast(x),) + zeros[i + 1:]
+                         for i, x in enumerate(entries))
 
     def __getitem__(self, ij):
         i, j = ij
@@ -83,37 +92,53 @@ class _Matrix:
 
     def __add__(self, other):
         self._check_same_shape(other)
-        return type(self)._wrap(tuple(tuple(a + b for a, b in zip(ra, rb))
-                                      for ra, rb in zip(self.data, other.data)))
+        return type(self)._wrap(map(add, ra, rb) for ra, rb in zip(self.data, other.data))
 
     def __sub__(self, other):
         self._check_same_shape(other)
-        return type(self)._wrap(tuple(tuple(a - b for a, b in zip(ra, rb))
-                                      for ra, rb in zip(self.data, other.data)))
-
-    def __neg__(self):
-        return type(self)._wrap(tuple(tuple(-a for a in row) for row in self.data))
+        return type(self)._wrap(map(sub, ra, rb) for ra, rb in zip(self.data, other.data))
 
     def __matmul__(self, other):
+        """Row i of the product is the combination of the rows of other
+        with the entries of row i of self as coefficients: zero entries
+        are skipped, and +1 or -1 adds or subtracts the row."""
+        if type(other) is not type(self):
+            raise TypeError("cannot multiply %s by %s"
+                            % (type(self).__name__, type(other).__name__))
         if self.cols != other.rows:
             raise ValueError("shape mismatch %dx%d @ %dx%d"
                              % (self.rows, self.cols, other.rows, other.cols))
-        bcols = tuple(zip(*other.data))
-        return type(self)._wrap(tuple(
-            tuple(sum(a * b for a, b in zip(row, col)) for col in bcols)
-            for row in self.data))
+        zero_row = (self._zero,) * other.cols
+        out = []
+        for row in self.data:
+            acc = None
+            for c, brow in compress(zip(row, other.data), row):
+                if acc is None:
+                    acc = brow if c == 1 else [c * b for b in brow]
+                elif c == 1:
+                    acc = list(map(add, acc, brow))
+                elif c == -1:
+                    acc = list(map(sub, acc, brow))
+                else:
+                    acc = [a + c * b for a, b in zip(acc, brow)]
+            out.append(zero_row if acc is None else acc)
+        return type(self)._wrap(out)
 
     def scale(self, k):
-        return type(self)._wrap(tuple(tuple(k * a for a in row) for row in self.data))
+        return type(self)._wrap([k * a for a in row] for row in self.data)
 
     def transpose(self):
-        return type(self)._wrap(tuple(zip(*self.data)))
+        return type(self)._wrap(zip(*self.data))
 
     def apply(self, vec):
-        """Matrix times column vector, returned as a tuple."""
+        """Matrix times column vector, returned as a tuple; zero entries of
+        the vector are skipped.  Entries are Fractions when the matrix or
+        the vector holds any, ints otherwise."""
         if len(vec) != self.cols:
             raise ValueError("vector length %d != %d columns" % (len(vec), self.cols))
-        return tuple(sum(a * x for a, x in zip(row, vec)) for row in self.data)
+        nonzero = [(j, x) for j, x in enumerate(vec) if x]
+        zero = RatMatrix._zero if Fraction in map(type, vec) else self._zero
+        return tuple(sum((row[j] * x for j, x in nonzero), zero) for row in self.data)
 
     def is_symmetric(self):
         return self.rows == self.cols and all(
@@ -166,6 +191,7 @@ class IntMatrix(_Matrix):
 
     __slots__ = ()
     _cast = staticmethod(_as_int)
+    _zero = 0
 
     def to_rat(self):
         return RatMatrix(self.data)
@@ -176,6 +202,7 @@ class RatMatrix(_Matrix):
 
     __slots__ = ()
     _cast = staticmethod(_as_frac)
+    _zero = Fraction(0)
 
     def to_int(self):
         return IntMatrix(self.data)

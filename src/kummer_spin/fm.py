@@ -60,9 +60,6 @@ class LineBundleClass:
     def mukai_vector(self):
         return mukai_triple(1, self.c1, self.c1_square_half())
 
-    def inverse(self):
-        return LineBundleClass(tuple(-c for c in self.c1))
-
     def dual_surface_bundle(self):
         """The associated bundle on the dual surface, with first Chern
         class iota(PD(c1))."""
@@ -85,7 +82,7 @@ def iota_pd_matrix():
     rows = [[0] * 16 for _ in range(16)]
     for a in range(16):
         rows[ALL ^ a][a] = merge_sign(a, ALL ^ a)
-    return IntMatrix(rows)
+    return IntMatrix._wrap(rows)
 
 
 def transform_matrix():
@@ -96,7 +93,7 @@ def transform_matrix():
         d = degree(a)
         sign = -1 if (d * (d + 1) // 2) & 1 else 1
         rows[ALL ^ a][a] = sign * merge_sign(a, ALL ^ a)
-    return IntMatrix(rows)
+    return IntMatrix._wrap(rows)
 
 
 def varphi_matrix():
@@ -106,7 +103,7 @@ def varphi_matrix():
     for i in range(4):
         rows[4 + i][i] = -1  # e_i -> -(0, f_i*)
         rows[i][4 + i] = -1  # e_i* -> -(f_i, 0)
-    return IntMatrix(rows)
+    return IntMatrix._wrap(rows)
 
 
 def transform_ax():
@@ -121,7 +118,7 @@ def transform_ax():
     for i in range(16):
         for j in range(16):
             rows[8 + i][8 + j] = phi[perm[i], perm[j]]
-    return AXAutomorphism(IntMatrix(rows))
+    return AXAutomorphism(IntMatrix._wrap(rows))
 
 
 def phi_f_spinor(bundle):

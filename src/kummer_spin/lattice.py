@@ -46,15 +46,6 @@ class IntLattice:
     def from_json(cls, obj):
         return cls(obj["gram"], obj.get("label", ""))
 
-    @classmethod
-    def hyperbolic(cls, copies=1, label="U"):
-        n = 2 * copies
-        g = [[0] * n for _ in range(n)]
-        for k in range(copies):
-            g[2 * k][2 * k + 1] = 1
-            g[2 * k + 1][2 * k] = 1
-        return cls(g, label)
-
     def positive_basis(self):
         """A fixed basis of a maximal positive-definite subspace, as
         primitive integral vectors.

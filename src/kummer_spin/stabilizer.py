@@ -116,11 +116,11 @@ class StabilizerGenerator:
 
     def splus_matrix(self):
         m = self.ax.matrix
-        return IntMatrix([[m[16 + i, 16 + j] for j in range(8)] for i in range(8)])
+        return IntMatrix._wrap([[m[16 + i, 16 + j] for j in range(8)] for i in range(8)])
 
     def v_matrix(self):
         m = self.ax.matrix
-        return IntMatrix([[m[i, j] for j in range(8)] for i in range(8)])
+        return IntMatrix._wrap([[m[i, j] for j in range(8)] for i in range(8)])
 
     def orientation_sign(self):
         """ort of the even-half action (positive part of rank 4);
@@ -172,9 +172,9 @@ def _wedge_powers(m):
             bmask = sum(1 << c for c in cols)
             for rws in combinations(range(4), k):
                 amask = sum(1 << r for r in rws)
-                sub = IntMatrix([[m[i, j] for j in cols] for i in rws])
+                sub = IntMatrix._wrap([[m[i, j] for j in cols] for i in rws])
                 rows[amask][bmask] = sub.det()
-    return IntMatrix(rows)
+    return IntMatrix._wrap(rows)
 
 
 def _block_diag(a, b):
@@ -186,7 +186,7 @@ def _block_diag(a, b):
     for i in range(b.rows):
         for j in range(b.cols):
             rows[a.rows + i][a.cols + j] = b[i, j]
-    return IntMatrix(rows)
+    return IntMatrix._wrap(rows)
 
 
 def pair_reflection_generator(a1, a2, n):
@@ -242,7 +242,7 @@ def minus_one_generator(n):
         rows[8 + i][8 + i] = -1
         rows[16 + i][16 + i] = 1
     return StabilizerGenerator("minus_one", None, n,
-                               AXAutomorphism(IntMatrix(rows)))
+                               AXAutomorphism(IntMatrix._wrap(rows)))
 
 
 def word_generator(parts, n):

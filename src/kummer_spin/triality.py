@@ -43,12 +43,6 @@ def ax_element(v=None, s_minus=None, s_plus=None):
     return v + s_minus + s_plus
 
 
-def v_block(a):
-    return a[0:8]
-
-def sminus_block(a):
-    return a[8:16]
-
 def splus_block(a):
     return a[16:24]
 
@@ -94,7 +88,7 @@ def multiplication_operator(a):
     for i, j, k, s in PRODUCT_TABLE:
         if a[i]:
             rows[k][j] += s * a[i]
-    return IntMatrix(rows)
+    return IntMatrix._wrap(rows)
 
 
 class AXAutomorphism:
@@ -221,7 +215,7 @@ def mu_tilde(x, flags=None):
     for i in range(16):
         for j in range(16):
             rows[8 + i][8 + j] = x[_S_PERM[i], _S_PERM[j]]
-    return AXAutomorphism(IntMatrix(rows))
+    return AXAutomorphism(IntMatrix._wrap(rows))
 
 
 def _splus_reflection(y):
@@ -247,7 +241,7 @@ def m_tilde(y):
     for i in range(8):
         for j in range(8):
             rows[16 + i][16 + j] = -refl[i, j]
-    return AXAutomorphism(IntMatrix(rows))
+    return AXAutomorphism(IntMatrix._wrap(rows))
 
 
 def m_tilde_pair(y1, y2):
@@ -271,7 +265,7 @@ def minus_one():
         rows[i][i] = 1
         rows[8 + i][8 + i] = -1
         rows[16 + i][16 + i] = -1
-    return AXAutomorphism(IntMatrix(rows))
+    return AXAutomorphism(IntMatrix._wrap(rows))
 
 
 def alpha_tilde_element():

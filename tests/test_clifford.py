@@ -19,9 +19,8 @@ from kummer_spin.clifford import (
     monomial_rank,
     monomial_recompose,
     mukai_triple,
+    SMINUS_GRAM,
     pairing_s,
-    sminus_lattice,
-    splus_coords,
     splus_embed,
     splus_lattice,
     splus_pairing,
@@ -33,7 +32,7 @@ from kummer_spin.clifford import (
 )
 from kummer_spin import clifford as cl
 from kummer_spin.exact import IntMatrix
-from kummer_spin.lattice import reflection
+from kummer_spin.lattice import IntLattice, reflection
 from kummer_spin.suites import suite_clifford
 
 
@@ -183,11 +182,6 @@ def test_wrong_tau_sign_fails_clifford_suite(monkeypatch):
     assert status["tau_alpha_laws"] == "fail"
 
 
-def test_splus_coords_rejects_odd_spinor():
-    with pytest.raises(ValueError):
-        splus_coords(tuple(int(m == 1) for m in range(16)))
-
-
 def test_group_flags_vector_cases():
     # v with Q(v) = -1 lies in Pin and -rho(v) is the reflection by v
     vlat = v_lattice()
@@ -255,7 +249,7 @@ def test_pairing_s_isometry_scaling():
 
 
 def test_even_odd_grams_unimodular_even():
-    for lat in (splus_lattice(), sminus_lattice()):
+    for lat in (splus_lattice(), IntLattice(SMINUS_GRAM, label="S-")):
         assert abs(lat.gram.det()) == 1
         assert lat.is_even()
     # (s_n, s_n)_{S+} = -2n in the 8-dim coordinates

@@ -24,6 +24,74 @@ def test_matmul_and_identity():
     assert (a - a).is_zero()
 
 
+def naive_product(a, b):
+    return tuple(tuple(sum(a[i][k] * b[k][j] for k in range(len(b)))
+                       for j in range(len(b[0]))) for i in range(len(a)))
+
+
+def naive_apply(a, v):
+    return tuple(sum(a[i][k] * v[k] for k in range(len(v))) for i in range(len(a)))
+
+
+def random_rows(rng, kind, nr, nc, entry):
+    if kind == "signed_permutation":
+        perm = rng.sample(range(nc), nc)
+        return [[rng.choice((1, -1)) if j == perm[i] else 0 for j in range(nc)]
+                for i in range(nr)]
+    density = {"dense": 1.0, "sparse": 0.15, "zero": 0.0}[kind]
+    return [[entry() if rng.random() < density else 0 for _ in range(nc)]
+            for _ in range(nr)]
+
+
+@pytest.mark.parametrize("cls", [IntMatrix, RatMatrix])
+def test_products_match_naive_triple_loop(cls):
+    # the zero-skipping kernel against the definition: equal values, and
+    # entries of the matrix's own domain (a zero product included)
+    rng = random.Random(8128 if cls is IntMatrix else 496)
+    if cls is IntMatrix:
+        def entry():
+            return rng.choice((1, -1, rng.randint(-9, 9)))
+        domain = int
+    else:
+        def entry():
+            return rng.choice((1, -1, Fraction(rng.randint(-9, 9), rng.randint(1, 6))))
+        domain = Fraction
+    kinds = ("dense", "sparse", "signed_permutation", "zero")
+    for _ in range(300):
+        ka, kb = rng.choice(kinds), rng.choice(kinds)
+        n = rng.randint(1, 9)
+        if "signed_permutation" in (ka, kb):
+            nr = nc = n
+        else:
+            nr, nc = rng.choice(((1, rng.randint(1, 9)), (rng.randint(1, 9), 1),
+                                 (rng.randint(1, 9), rng.randint(1, 9))))
+        a = cls(random_rows(rng, ka, nr, n, entry))
+        b = cls(random_rows(rng, kb, n, nc, entry))
+        prod = a @ b
+        assert (prod.rows, prod.cols) == (nr, nc)
+        assert prod.data == naive_product(a.data, b.data)
+        assert all(type(x) is domain for row in prod.data for x in row)
+        # apply: Fractions unless both the matrix and the vector are integral
+        ints = tuple(rng.choice((0, 0, 1, -1, rng.randint(-9, 9))) for _ in range(n))
+        fracs = tuple(Fraction(rng.choice((0, 0, rng.randint(-9, 9))), rng.randint(1, 4))
+                      for _ in range(n))
+        for v in (ints, fracs, (Fraction(0),) * n):
+            out = a.apply(v)
+            assert out == naive_apply(a.data, v)
+            want = int if cls is IntMatrix and v is ints else Fraction
+            assert all(type(x) is want for x in out)
+
+
+def test_mixed_domain_product_raises_type_error():
+    i2 = IntMatrix([[1, 0], [0, 1]])
+    r2 = RatMatrix([[Fraction(1, 2), 0], [0, 1]])
+    with pytest.raises(TypeError):
+        i2 @ r2
+    with pytest.raises(TypeError):
+        r2 @ i2
+    assert i2 @ i2 == i2 and r2 @ r2 == RatMatrix([[Fraction(1, 4), 0], [0, 1]])
+
+
 def test_det_int_and_rat():
     a = IntMatrix([[2, 0, 1], [1, 1, 0], [0, 3, 1]])
     assert a.det() == 2 * (1 * 1 - 0 * 3) - 0 + 1 * (1 * 3 - 0)

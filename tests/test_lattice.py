@@ -20,7 +20,10 @@ from kummer_spin.lattice import (
 
 
 def hyperbolic(copies):
-    return IntLattice.hyperbolic(copies)
+    # U^copies: unit pairings between coordinates 2k and 2k+1
+    n = 2 * copies
+    return IntLattice([[int(i // 2 == j // 2 and i != j) for j in range(n)]
+                       for i in range(n)], "U")
 
 
 def test_pairing_hyperbolic():

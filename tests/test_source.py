@@ -30,3 +30,22 @@ def test_group_and_algebra_layers_are_integer_only():
             if names & {"RatMatrix", "to_rat"}:
                 found.append("%s:%d" % (name, node.lineno))
     assert found == []
+
+
+def test_only_matrix_base_defines_matmul_and_apply():
+    # the benchmark's tracer wraps _Matrix.__matmul__ and _Matrix.apply; an
+    # override or a second kernel in exact.py would escape its counts
+    path = SRC / "exact.py"
+    found = []
+    for parent in ast.walk(ast.parse(path.read_text(), str(path))):
+        body = getattr(parent, "body", None)
+        for node in body if isinstance(body, list) else ():
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                names = [node.name]
+            elif isinstance(node, ast.Assign):
+                names = [t.id for t in node.targets if isinstance(t, ast.Name)]
+            else:
+                continue
+            owner = getattr(parent, "name", type(parent).__name__)
+            found += [(owner, n) for n in names if n in ("__matmul__", "apply")]
+    assert sorted(found) == [("_Matrix", "__matmul__"), ("_Matrix", "apply")]

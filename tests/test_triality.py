@@ -5,8 +5,10 @@ import random
 import pytest
 
 from kummer_spin.clifford import (
-    PARITY,
+    SMINUS_MASKS,
+    SPLUS_MASKS,
     clifford_embed,
+    degree,
     mukai_triple,
     splus_pairing,
     v_pairing,
@@ -26,10 +28,8 @@ from kummer_spin.triality import (
     mu_tilde,
     multiplication_operator,
     outer_j,
-    sminus_block,
     splus_block,
     tau_tilde,
-    v_block,
 )
 
 SN3 = mukai_triple(1, [0] * 6, -3)
@@ -37,6 +37,28 @@ SN3 = mukai_triple(1, [0] * 6, -3)
 
 def unit24(j):
     return tuple(int(i == j) for i in range(24))
+
+
+def v_block(a):
+    return a[0:8]
+
+
+def sminus_block(a):
+    return a[8:16]
+
+
+def embed(masks, v8):
+    out = [0] * 16
+    for m, x in zip(masks, v8):
+        out[m] = x
+    return tuple(out)
+
+
+def coords(masks, spinor):
+    # the coordinates on masks of a spinor supported there
+    if any(spinor[m] for m in range(16) if m not in masks):
+        raise ValueError("spinor has entries off the given masks")
+    return tuple(spinor[m] for m in masks)
 
 
 def test_same_summand_products_vanish():
@@ -130,7 +152,7 @@ def test_anticommutator_law_on_v_plus_sminus():
 def test_mu_tilde_of_minus_one_and_alpha_tilde():
     assert mu_tilde(IntMatrix.identity(16).scale(-1)) == minus_one()
     at = alpha_tilde_element()
-    assert at == PARITY
+    assert at == IntMatrix.diagonal([(-1) ** degree(m) for m in range(16)])
     mat = mu_tilde(at).matrix
     for i in range(8):
         assert mat[i, i] == -1          # -1 on V
@@ -351,22 +373,21 @@ def test_product_twist_values():
 def _reference_ax_product(a, b):
     """The product by its definition: Clifford action of V on the spinor
     halves, and S+ x S- -> V through (result, x)_V = (x . sp, sm)_S."""
-    from kummer_spin.clifford import (act_vector, pairing_s, sminus_coords,
-                                      sminus_embed, splus_coords, splus_embed)
+    from kummer_spin.clifford import act_vector, pairing_s, splus_embed
 
     def splus_times_sminus(sp, sm):
         phi = [pairing_s(act_vector(unit24(k)[:8], splus_embed(sp)),
-                         sminus_embed(sm)) for k in range(8)]
+                         embed(SMINUS_MASKS, sm)) for k in range(8)]
         return phi[4:8] + phi[0:4]  # G^-1 for the hyperbolic V-Gram
 
     av, am, ap = v_block(a), sminus_block(a), splus_block(a)
     bv, bm, bp = v_block(b), sminus_block(b), splus_block(b)
     minus = [x + y for x, y in zip(
-        sminus_coords(act_vector(av, splus_embed(bp))),
-        sminus_coords(act_vector(bv, splus_embed(ap))))]
+        coords(SMINUS_MASKS, act_vector(av, splus_embed(bp))),
+        coords(SMINUS_MASKS, act_vector(bv, splus_embed(ap))))]
     plus = [x + y for x, y in zip(
-        splus_coords(act_vector(av, sminus_embed(bm))),
-        splus_coords(act_vector(bv, sminus_embed(am))))]
+        coords(SPLUS_MASKS, act_vector(av, embed(SMINUS_MASKS, bm))),
+        coords(SPLUS_MASKS, act_vector(bv, embed(SMINUS_MASKS, am))))]
     vec = [x + y for x, y in zip(splus_times_sminus(ap, bm),
                                  splus_times_sminus(bp, am))]
     return tuple(vec + minus + plus)

@@ -9,8 +9,8 @@ import pytest
 from kummer_spin.clifford import (
     clifford_embed,
     mukai_triple,
+    SMINUS_MASKS,
     pairing_s,
-    sminus_embed,
     splus_pairing,
 )
 from kummer_spin.exact import IntMatrix
@@ -33,6 +33,13 @@ from kummer_spin.weil import (
 
 S3 = mukai_triple(1, [0] * 6, -3)
 H_CANON = mukai_triple(0, (1, 0, 0, 0, 0, 1), 0)  # int(A^2) = 2, square -2
+
+
+def sminus_embed(v8):
+    out = [0] * 16
+    for m, x in zip(SMINUS_MASKS, v8):
+        out[m] = x
+    return tuple(out)
 
 
 def test_weil_structure_basic():
