@@ -125,6 +125,7 @@ class _Matrix:
         return type(self)._wrap(out)
 
     def scale(self, k):
+        k = self._cast(k)
         return type(self)._wrap([k * a for a in row] for row in self.data)
 
     def transpose(self):
@@ -182,6 +183,9 @@ class _Matrix:
         return sign * m[n - 1][n - 1]
 
     def _check_same_shape(self, other):
+        if type(other) is not type(self):
+            raise TypeError("cannot combine %s with %s"
+                            % (type(self).__name__, type(other).__name__))
         if self.rows != other.rows or self.cols != other.cols:
             raise ValueError("shape mismatch")
 

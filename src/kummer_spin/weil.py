@@ -10,8 +10,10 @@ the Hermitian determinant is a rational square.
 """
 
 from fractions import Fraction
+from math import isqrt
 
-from .clifford import splus_lattice, splus_pairing, v_pairing, V_GRAM
+from .clifford import (SPLUS_GRAM, V_GRAM, splus_lattice, splus_pairing,
+                       v_pairing)
 from .exact import (
     IntMatrix,
     RatMatrix,
@@ -33,19 +35,19 @@ class SearchExhausted(RuntimeError):
     report-level condition, not a failure of the underlying theory."""
 
 
-def _v_block(mat24):
-    return IntMatrix([[mat24[i, j] for j in range(8)] for i in range(8)])
+# the V and S- blocks of the 24-dimensional algebra start at 0 and 8
+_V, _SMINUS = 0, 8
 
 
-def _mult_v_to_sminus(y):
-    """The V -> S- block of multiplication by an even-half class."""
-    m = multiplication_operator(ax_element(s_plus=y))
-    return IntMatrix([[m[8 + i, j] for j in range(8)] for i in range(8)])
+def _block(mat24, i, j):
+    """The 8x8 block of a 24x24 matrix at rows i.. and columns j.."""
+    return IntMatrix._wrap(row[j:j + 8] for row in mat24.data[i:i + 8])
 
 
-def _mult_sminus_to_v(y):
-    m = multiplication_operator(ax_element(s_plus=y))
-    return IntMatrix([[m[i, 8 + j] for j in range(8)] for i in range(8)])
+def _mult(y, i, j):
+    """A block of multiplication by an even-half class: (_SMINUS, _V) maps
+    V -> S-, and (_V, _SMINUS) maps S- -> V."""
+    return _block(multiplication_operator(ax_element(s_plus=y)), i, j)
 
 
 class WeilStructure:
@@ -68,7 +70,7 @@ class WeilStructure:
         self.n = -ww // 2
         self.k = -hh // 2
         self.d = self.n * self.k
-        self.theta_prime = _mult_sminus_to_v(w) @ _mult_v_to_sminus(h)
+        self.theta_prime = _mult(w, _V, _SMINUS) @ _mult(h, _SMINUS, _V)
         sq = self.theta_prime @ self.theta_prime
         if sq != IntMatrix.identity(8).scale(-self.d):
             raise ValueError("theta' does not square to -d")
@@ -91,27 +93,36 @@ def weil_structure(w, h):
     return WeilStructure(w, h)
 
 
+def _ratio(num, den):
+    """The RatMatrix num / den of an IntMatrix and a positive integer."""
+    return RatMatrix._wrap([Fraction(x, den) for x in row] for row in num.data)
+
+
 class ComplexStructureJ:
     """An exact complex structure on the rank-8 module from an orthogonal
-    pair of rational classes of square -2."""
+    pair of rational classes of square -2 (ints or Fractions), held as the
+    integer matrix num over the positive integer den: J = num / den."""
 
-    __slots__ = ("u1", "u2", "matrix")
+    __slots__ = ("u1", "u2", "num", "den")
 
     def __init__(self, u1, u2):
-        u1 = tuple(Fraction(x) for x in u1)
-        u2 = tuple(Fraction(x) for x in u2)
-        if splus_pairing(u1, u1) != -2 or splus_pairing(u2, u2) != -2:
-            raise ValueError("plane basis classes must have square -2")
-        if splus_pairing(u1, u2) != 0:
-            raise ValueError("plane basis classes must be orthogonal")
-        self.u1 = u1
-        self.u2 = u2
+        self.u1 = u1 = tuple(u1)
+        self.u2 = u2 = tuple(u2)
         p1, q1 = clear_denominators(u1)
         p2, q2 = clear_denominators(u2)
-        m1 = _mult_sminus_to_v(p1) @ _mult_v_to_sminus(p2)
-        self.matrix = m1.to_rat().scale(Fraction(1, q1 * q2))
-        if self.matrix @ self.matrix != RatMatrix.identity(8).scale(-1):
+        if (splus_pairing(p1, p1) != -2 * q1 * q1
+                or splus_pairing(p2, p2) != -2 * q2 * q2):
+            raise ValueError("plane basis classes must have square -2")
+        if splus_pairing(p1, p2) != 0:
+            raise ValueError("plane basis classes must be orthogonal")
+        self.num = _mult(p1, _V, _SMINUS) @ _mult(p2, _SMINUS, _V)
+        self.den = q1 * q2
+        if self.num @ self.num != IntMatrix.identity(8).scale(-self.den ** 2):
             raise ValueError("J^2 != -1")
+
+    @property
+    def matrix(self):
+        return _ratio(self.num, self.den)
 
 
 def j_ell(u1, u2):
@@ -123,23 +134,20 @@ def kahler_metric(ws, j):
     positive definite and -1 for negative definite.
 
     Requires the plane of J orthogonal to both classes of the structure;
-    raises ValueError when g is indefinite (incompatible inputs)."""
+    raises ValueError when g is indefinite (incompatible inputs).  The
+    certificate runs on the integer matrix den * g = num^T Theta: den is
+    positive, so its leading minors have the signs of those of g."""
     for u in (j.u1, j.u2):
         if splus_pairing(u, ws.w) != 0 or splus_pairing(u, ws.h) != 0:
             raise ValueError("period plane must be orthogonal to both classes")
-    t = ws.theta_form.to_rat()
-    g = j.matrix.transpose() @ t
-    if g.transpose() != g:
+    g = j.num.transpose() @ ws.theta_form
+    if not g.is_symmetric():
         raise ValueError("metric is not symmetric")
+    minors = [IntMatrix._wrap(row[:k] for row in g.data[:k]).det()
+              for k in range(1, 9)]
     for sign in (1, -1):
-        ok = True
-        for k in range(1, 9):
-            minor = RatMatrix([row[:k] for row in g.scale(sign).data[:k]]).det()
-            if minor <= 0:
-                ok = False
-                break
-        if ok:
-            return g, sign
+        if all(sign ** k * m > 0 for k, m in enumerate(minors, 1)):
+            return _ratio(g, j.den), sign
     raise ValueError("metric is indefinite")
 
 
@@ -150,17 +158,14 @@ def anticommute_check(w, h, h_prime, f):
 
     Returns (anticommute, metrics_equal).  Degenerate inputs (a repeated
     period, non-orthogonal classes) are rejected."""
-    triple = (tuple(h), tuple(h_prime), tuple(f))
-    for i in range(3):
-        for j in range(i + 1, 3):
-            if splus_pairing(triple[i], triple[j]) != 0:
-                raise ValueError("classes must be pairwise orthogonal")
+    if splus_pairing(h, h_prime) or splus_pairing(h, f) or splus_pairing(h_prime, f):
+        raise ValueError("classes must be pairwise orthogonal")
     ws = WeilStructure(w, h)
     ws_prime = WeilStructure(w, h_prime)
     j = j_ell(h_prime, f)
     j_prime = j_ell(f, h)
-    lhs = j.matrix @ j_prime.matrix + j_prime.matrix @ j.matrix
-    anticommute = lhs.is_zero()
+    # the denominators are positive scalars, so the numerators decide
+    anticommute = (j.num @ j_prime.num + j_prime.num @ j.num).is_zero()
     g1, _ = kahler_metric(ws, j)
     g2, _ = kahler_metric(ws_prime, j_prime)
     return anticommute, g1 == g2
@@ -198,36 +203,57 @@ def hermitian_sesquilinear_check(ws, rng, samples=20):
 def _square_candidates(basis, target, limit, max_bound=3):
     """Short coefficient vectors with the prescribed square, enumerated by
     growing coordinate bound (shortest first, deterministic).  Only one of
-    each +-c pair is returned: squares are sign-invariant."""
-    from itertools import product
+    each +-c pair is returned, the one with positive leading coordinate:
+    squares are sign-invariant.
 
-    gram = _sub_gram(basis)
-    r = gram.rows
+    For each bound b the vectors of the shell max|c| = b come in
+    lexicographic order: the leading coordinates run depth-first with
+    q = c^T G c and the pairings (G c)_j kept up to date, and the last
+    coordinate solves a x^2 + 2 L x + q = target exactly."""
+    m = IntMatrix._wrap(basis)
+    gram = (m @ SPLUS_GRAM @ m.transpose()).data
+    last = len(gram) - 1
     out = []
+
+    def walk(b, c, q, pair, shell):
+        # c holds the coordinates set so far, pair[i] = (G c)_{len(c) + i}
+        k = len(c)
+        if k == last:
+            for x in _roots(gram[k][k], pair[0], q - target, b):
+                if (shell or abs(x) == b) and (x > 0 or any(c)):
+                    out.append(_combine(basis, c + (x,)))
+                    if len(out) >= limit:
+                        return True
+            return False
+        row = gram[k][k:]
+        for v in range(-b if any(c) else 0, b + 1):
+            if walk(b, c + (v,), q + v * (2 * pair[0] + v * row[0]),
+                    [p + v * g for p, g in zip(pair[1:], row[1:])],
+                    shell or abs(v) == b):
+                return True
+        return False
+
     for b in range(1, max_bound + 1):
-        for c in product(range(-b, b + 1), repeat=r):
-            if not any(c) or max(abs(x) for x in c) != b:
-                continue
-            for x in c:
-                if x:
-                    leading = x
-                    break
-            if leading < 0:
-                continue
-            s = 0
-            for i in range(r):
-                if c[i]:
-                    gi = gram.data[i]
-                    s += c[i] * sum(gi[j] * c[j] for j in range(r))
-            if s == target:
-                out.append(_combine(basis, c))
-                if len(out) >= limit:
-                    return out
+        if walk(b, (), 0, [0] * (last + 1), False):
+            break
     return out
 
 
-def _sub_gram(basis):
-    return IntMatrix([[splus_pairing(u, v) for v in basis] for u in basis])
+def _roots(a, m, c, bound):
+    """Integers x in [-bound, bound] with a x^2 + 2 m x + c = 0, ascending."""
+    if a == 0:
+        if m == 0:
+            return range(-bound, bound + 1) if c == 0 else ()
+        x, rem = divmod(-c, 2 * m)
+        return (x,) if rem == 0 and -bound <= x <= bound else ()
+    disc = m * m - a * c
+    if disc < 0:
+        return ()
+    s = isqrt(disc)
+    if s * s != disc:
+        return ()
+    roots = {x for x, rem in (divmod(-m - s, a), divmod(-m + s, a)) if rem == 0}
+    return sorted(x for x in roots if -bound <= x <= bound)
 
 
 def _combine(basis, coeffs):
@@ -333,8 +359,7 @@ class DiscriminantCertificate:
 def _isotropic_plane(z):
     """The rank-4 rational kernel of multiplication V -> S- by an isotropic
     even-half class."""
-    m = _mult_v_to_sminus(z)
-    basis = rational_kernel(m.to_rat())
+    basis = rational_kernel(_mult(z, _SMINUS, _V))
     if len(basis) != 4:
         raise SearchExhausted("isotropic class kernel is not 4-dimensional")
     return basis
@@ -345,13 +370,7 @@ def _intersect(space_a, space_b):
     rows = [list(v) for v in space_a] + [list(v) for v in space_b]
     m = RatMatrix(rows)
     rel = rational_kernel(m.transpose())
-    out = []
-    for r in rel:
-        vec = [Fraction(0)] * 8
-        for c, v in zip(r[:len(space_a)], space_a):
-            for i in range(8):
-                vec[i] += c * v[i]
-        out.append(tuple(vec))
+    out = [_combine(space_a, r[:len(space_a)]) for r in rel]
     if not out:
         return []
     reduced, _ = RatMatrix(out).rref()
@@ -381,14 +400,11 @@ def hermitian_and_discriminant(ws, rng):
     """
     e1, f1, e2, f2 = find_orthogonal_square_vectors(
         [ws.w, ws.h], (2, -2, 2, -2), rng)
-    z1 = tuple(a - b for a, b in zip(e1, f1))
-    z2 = tuple(a + b for a, b in zip(e1, f1))
-    y1 = tuple(a - b for a, b in zip(e2, f2))
-    y2 = tuple(a + b for a, b in zip(e2, f2))
     checks = {}
 
-    lz = [_isotropic_plane(z1), _isotropic_plane(z2)]
-    ly = [_isotropic_plane(y1), _isotropic_plane(y2)]
+    # the planes of the isotropic classes e - f and e + f of each pair
+    lz, ly = ([_isotropic_plane(tuple(a + s * b for a, b in zip(e, f)))
+               for s in (-1, 1)] for e, f in ((e1, f1), (e2, f2)))
     planes = {}
     for i in (0, 1):
         for jj in (0, 1):
@@ -403,56 +419,36 @@ def hermitian_and_discriminant(ws, rng):
 
     # the two involutions: eta_i = m-pair of (e_i, f_i); squares to the
     # identity and reverses the sign of the V-pairing
-    eta_checks = []
-    for (e, f) in ((e1, f1), (e2, f2)):
-        eta = m_tilde_pair(e, f)
-        sq = eta @ eta
-        v = _v_block(eta.matrix)
-        eta_checks.append(
-            sq.matrix.is_identity()
-            and v.transpose() @ V_GRAM @ v == V_GRAM.scale(-1)
-            and v @ ws.theta_prime == ws.theta_prime @ v)
-    checks["eta_involutions"] = all(eta_checks)
+    etas = [m_tilde_pair(e1, f1), m_tilde_pair(e2, f2)]
+    eta_v = [_block(eta.matrix, _V, _V) for eta in etas]
+    checks["eta_involutions"] = all(
+        (eta @ eta).matrix.is_identity()
+        and v.transpose() @ V_GRAM @ v == V_GRAM.scale(-1)
+        and v @ ws.theta_prime == ws.theta_prime @ v
+        for eta, v in zip(etas, eta_v))
 
-    # joint eigencharacters of the two involutions on the four planes
-    eta_v = [_v_block(m_tilde_pair(e1, f1).matrix),
-             _v_block(m_tilde_pair(e2, f2).matrix)]
-    signs = {}
-    ok = True
-    for key, plane in planes.items():
-        pair = []
-        for ev in eta_v:
-            vals = set()
-            for v in plane:
-                img = ev.apply(v)
-                for eps in (1, -1):
-                    if tuple(img) == tuple(Fraction(eps) * x for x in v):
-                        vals.add(eps)
-            if len(vals) != 1:
-                ok = False
-                pair.append(0)
-            else:
-                pair.append(vals.pop())
-        signs[key] = tuple(pair)
-    checks["four_distinct_characters"] = ok and len(set(signs.values())) == 4
+    # joint eigencharacters of the two involutions on the four planes: the
+    # signs eps with eta v = eps v for some v of the plane, scaled to integers
+    signs = []
+    for plane in planes.values():
+        vs = [primitive_vector(v) for v in plane]
+        signs.append(tuple(frozenset(
+            eps for v, img in zip(vs, map(ev.apply, vs))
+            for eps in (1, -1) if img == tuple(eps * x for x in v))
+            for ev in eta_v))
+    checks["four_distinct_characters"] = (
+        all(len(s) == 1 for pair in signs for s in pair)
+        and len(set(signs)) == 4)
 
     a = _pick_pair(planes[(0, 0)], planes[(1, 1)], ws)
     ap = _pick_pair(planes[(0, 1)], planes[(1, 0)], ws)
-    x1 = tuple(p + q for p, q in zip(a[0], a[1]))
-    x2 = tuple(p - q for p, q in zip(a[0], a[1]))
-    x3 = tuple(p + q for p, q in zip(ap[0], ap[1]))
-    x4 = tuple(p - q for p, q in zip(ap[0], ap[1]))
-    basis = (x1, x2, x3, x4)
+    basis = tuple(tuple(p + s * q for p, q in zip(*pair))
+                  for pair in (a, ap) for s in (1, -1))
+    x1, x3 = basis[0], basis[2]
 
-    herm_ok = True
-    for i in range(4):
-        for jj in range(4):
-            if i == jj:
-                continue
-            re, im = ws.hermitian(basis[i], basis[jj])
-            if re != 0 or im != 0:
-                herm_ok = False
-    checks["basis_h_orthogonal"] = herm_ok
+    checks["basis_h_orthogonal"] = all(
+        ws.hermitian(x, y) == (0, 0)
+        for i, x in enumerate(basis) for jj, y in enumerate(basis) if i != jj)
 
     det_psi = Fraction(1)
     for x in basis:

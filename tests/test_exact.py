@@ -92,6 +92,24 @@ def test_mixed_domain_product_raises_type_error():
     assert i2 @ i2 == i2 and r2 @ r2 == RatMatrix([[Fraction(1, 4), 0], [0, 1]])
 
 
+def test_mixed_domain_sum_and_non_integral_scale_raise():
+    i2 = IntMatrix([[1, 0], [0, 1]])
+    r2 = RatMatrix([[Fraction(1, 2), 0], [0, 1]])
+    for op in (lambda a, b: a + b, lambda a, b: a - b):
+        with pytest.raises(TypeError):
+            op(i2, r2)
+        with pytest.raises(TypeError):
+            op(r2, i2)
+    assert i2 + i2 == IntMatrix([[2, 0], [0, 2]]) and (r2 - r2).is_zero()
+    with pytest.raises(ValueError):
+        IntMatrix([[1, 2]]).scale(Fraction(1, 3))
+    with pytest.raises(TypeError):
+        IntMatrix([[1, 2]]).scale(0.5)
+    doubled = IntMatrix([[1, 2]]).scale(Fraction(2))
+    assert doubled == IntMatrix([[2, 4]]) and type(doubled[0, 1]) is int
+    assert r2.scale(2) == RatMatrix([[1, 0], [0, 2]])
+
+
 def test_det_int_and_rat():
     a = IntMatrix([[2, 0, 1], [1, 1, 0], [0, 3, 1]])
     assert a.det() == 2 * (1 * 1 - 0 * 3) - 0 + 1 * (1 * 3 - 0)

@@ -3,6 +3,8 @@ and the trivial-discriminant certificate."""
 
 import random
 from fractions import Fraction
+from itertools import product
+from types import SimpleNamespace
 
 import pytest
 
@@ -13,9 +15,12 @@ from kummer_spin.clifford import (
     pairing_s,
     splus_pairing,
 )
-from kummer_spin.exact import IntMatrix
+from kummer_spin.exact import IntMatrix, RatMatrix
+from kummer_spin.lattice import orthogonal_complement_basis
 from kummer_spin.stabilizer import wh_stabilizer_v_actions, sl4_generator, random_sl4
+from kummer_spin.triality import ax_element, multiplication_operator
 from kummer_spin.weil import (
+    SPLUS,
     ComplexStructureJ,
     SearchExhausted,
     WeilStructure,
@@ -29,6 +34,7 @@ from kummer_spin.weil import (
     spin_wh_commutant_check,
     weil_multiplication_check,
     weil_structure,
+    _square_candidates,
 )
 
 S3 = mukai_triple(1, [0] * 6, -3)
@@ -258,3 +264,127 @@ def test_random_weil_pair_is_bounded():
     # no primitive negative class has n = -w^2/2 <= 0
     with pytest.raises(SearchExhausted):
         random_weil_pair(random.Random(0), n_max=0)
+
+
+def _cube_walk(basis, max_bound):
+    """(c, c^T G c) in the order of the cube walk that _square_candidates
+    made before its shell search: for b = 1..max_bound, every c of the
+    cube [-b, b]^r with max|c| = b and a positive leading coordinate."""
+    gram = [[splus_pairing(u, v) for v in basis] for u in basis]
+    r = len(basis)
+    for b in range(1, max_bound + 1):
+        for c in product(range(-b, b + 1), repeat=r):
+            if not any(c) or max(abs(x) for x in c) != b:
+                continue
+            if next(x for x in c if x) < 0:
+                continue
+            yield c, sum(c[i] * gram[i][j] * c[j]
+                         for i in range(r) for j in range(r))
+
+
+def _reference_candidates(walk, basis, target, limit):
+    hits = [c for c, square in walk if square == target][:limit]
+    return [tuple(sum(x * v[i] for x, v in zip(c, basis)) for i in range(8))
+            for c in hits]
+
+
+def _unit(i):
+    return tuple(int(i == j) for j in range(8))
+
+
+def test_square_candidates_match_cube_walk():
+    rng = random.Random(1401)
+    bases = []
+    for k in range(5):
+        constraints = [tuple(rng.randint(-2, 2) for _ in range(8))
+                       for _ in range(k)]
+        bases.append(orthogonal_complement_basis(SPLUS, constraints)
+                     if constraints else [_unit(i) for i in range(8)])
+    # e_0 pairs only with e_7: the last Gram diagonal is 0 (linear case)
+    bases.append([_unit(3), _unit(4), _unit(7), _unit(0)])
+    bases.append([(0, 1, 0, 0, 0, 0, 1, 0)])  # rank 1, square -2
+    bases.append([_unit(0)])  # rank 1, isotropic
+    assert [len(b) for b in bases] == [8, 7, 6, 5, 4, 4, 1, 1]
+    cut = found = 0
+    for basis in bases:
+        # the cube walk is (2b+1)^r: keep the reference cheap on wide bases
+        max_bound = {8: 1, 7: 2}.get(len(basis), 3)
+        walk = list(_cube_walk(basis, max_bound))
+        for target in (2, -2, 4, -4, 0, -6):
+            for limit in (1, 12, 10 ** 6):
+                got = _square_candidates(basis, target, limit, max_bound)
+                assert got == _reference_candidates(walk, basis, target, limit), \
+                    (basis, target, limit)
+                cut += limit == 12 and len(got) == 12
+                found += len(got)
+    assert cut > 10 and found > 1000  # the cut-off and the lists are real
+
+
+def _reference_j(u1, u2):
+    """J from the Fraction classes by rational products of the S- -> V
+    block of u1 and the V -> S- block of u2, with J^2 = -1 checked."""
+    def block(u, rows, cols):
+        m = multiplication_operator(ax_element(s_plus=[Fraction(x) for x in u]))
+        return RatMatrix([[m[i, j] for j in cols] for i in rows])
+
+    v, sminus = range(8), range(8, 16)
+    j = block(u1, v, sminus) @ block(u2, sminus, v)
+    assert j @ j == RatMatrix.identity(8).scale(-1)
+    return j
+
+
+def _reference_kahler(ws, j):
+    """The Gram J^T Theta and its sign from rational leading minors."""
+    g = j.transpose() @ ws.theta_form.to_rat()
+    assert g.transpose() == g
+    for sign in (1, -1):
+        if all(RatMatrix([row[:k] for row in g.scale(sign).data[:k]]).det() > 0
+               for k in range(1, 9)):
+            return g, sign
+    return g, 0
+
+
+def test_kahler_metric_and_j_match_rational_oracle():
+    # one pair with denominators: u1 = (0, 1/2, 0, 0, 0, 0, 2, 0)
+    triples = [((1, 0, 0, 0, 0, 0, 0, -3), (0, 0, 1, 0, 0, -1, 0, 0),
+                (0, Fraction(1, 2), 0, 0, 0, 0, 2, 0), (0, 0, 0, 1, 1, 0, 0, 0))]
+    rng = random.Random(1402)
+    while len(triples) < 7:
+        w, h = random_weil_pair(rng, n_max=6, k_max=6)
+        if weil_structure(w, h).d == 0:
+            continue
+        try:
+            u1, u2 = find_orthogonal_square_vectors([w, h], (-2, -2), rng)
+        except SearchExhausted:
+            continue
+        triples.append((w, h, u1, u2))
+    signs = set()
+    for w, h, u1, u2 in triples:
+        ws = weil_structure(w, h)
+        for a, b in ((u1, u2), (u2, u1)):
+            j = j_ell(a, b)
+            assert j.matrix == _reference_j(a, b)
+            g, sign = kahler_metric(ws, j)
+            assert (g, sign) == _reference_kahler(ws, j.matrix)
+            signs.add(sign)
+    assert signs == {1, -1}
+
+
+def test_kahler_metric_rejects_plane_not_orthogonal_to_classes():
+    ws = weil_structure(S3, H_CANON)
+    u2 = mukai_triple(0, (0, 1, 0, 0, -1, 0), 0)
+    j = j_ell(H_CANON, u2)  # a valid structure whose plane contains h
+    with pytest.raises(ValueError, match="orthogonal to both classes"):
+        kahler_metric(ws, j)
+
+
+def test_kahler_metric_rejects_indefinite_numerator():
+    ws = weil_structure(S3, H_CANON)
+    u1 = mukai_triple(0, (0, 1, 0, 0, -1, 0), 0)
+    u2 = mukai_triple(0, (0, 0, 1, 1, 0, 0), 0)
+    kahler_metric(ws, j_ell(u1, u2))  # the plane itself is admissible
+    # num = theta' gives num^T Theta = (theta'^2)^T V_GRAM = -3 V_GRAM:
+    # symmetric, of signature (4, 4)
+    stand_in = SimpleNamespace(u1=u1, u2=u2, num=ws.theta_prime, den=1)
+    with pytest.raises(ValueError, match="indefinite"):
+        kahler_metric(ws, stand_in)
