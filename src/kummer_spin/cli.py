@@ -2,9 +2,9 @@
 and JSON reports.
 
 Exit status 0 when every non-skipped check passes, 1 on any failure, 2 on
-usage errors.  Report bodies contain no timestamps or timings, so a fixed
-command line produces byte-identical output; per-suite elapsed times go
-to stderr.
+usage errors and when a bounded search runs out.  Report bodies contain
+no timestamps or timings, so a fixed command line produces byte-identical
+output; per-suite elapsed times go to stderr.
 """
 
 import argparse
@@ -13,6 +13,7 @@ import os
 import sys
 
 from . import suites
+from .lattice import SearchExhausted
 from .stabilizer import h2_square, s_n
 from .weil import weil_structure
 
@@ -144,7 +145,12 @@ def main(argv=None):
         params = {key: getattr(args, key) for key in suites.SUITES[name]
                   if key != "seed" and hasattr(args, key)}
         # looked up at call time, so wrappers installed on the module apply
-        reports.append(getattr(suites, "suite_" + name)(seed=seed, **params))
+        try:
+            reports.append(getattr(suites, "suite_" + name)(seed=seed, **params))
+        except SearchExhausted as exc:
+            sys.stderr.write("suite %s: bounded search exhausted: %s\n"
+                             % (name, exc))
+            raise SystemExit(2)
 
     for rep in reports:
         sys.stderr.write("# suite %s elapsed %.1f ms\n"

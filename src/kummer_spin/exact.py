@@ -74,9 +74,32 @@ class _Matrix:
         return cls._wrap(zeros[:i] + (cls._cast(x),) + zeros[i + 1:]
                          for i, x in enumerate(entries))
 
+    @classmethod
+    def block_diagonal(cls, *blocks):
+        """The matrix with the given blocks along its diagonal, zero elsewhere."""
+        if not blocks:
+            raise ValueError("matrix dimensions must be positive")
+        if any(type(b) is not cls for b in blocks):
+            raise TypeError("block_diagonal needs %s blocks" % cls.__name__)
+        width = sum(b.cols for b in blocks)
+        rows, left = [], 0
+        for b in blocks:
+            before = (cls._zero,) * left
+            after = (cls._zero,) * (width - left - b.cols)
+            rows += [before + row + after for row in b.data]
+            left += b.cols
+        return cls._wrap(rows)
+
     def __getitem__(self, ij):
         i, j = ij
         return self.data[i][j]
+
+    def block(self, i, j, rows, cols):
+        """The rows x cols submatrix whose top left entry is (i, j)."""
+        if not (0 <= i and 0 < rows and i + rows <= self.rows
+                and 0 <= j and 0 < cols and j + cols <= self.cols):
+            raise ValueError("block out of range")
+        return type(self)._wrap(row[j:j + cols] for row in self.data[i:i + rows])
 
     def column(self, j):
         return tuple(r[j] for r in self.data)

@@ -20,12 +20,13 @@ from .clifford import (
     merge_sign,
     mukai_triple,
     pairing_s,
-    splus_embed,
     wedge_matrix,
 )
 from .exact import IntMatrix
+from .lattice import reflection
 from .stabilizer import h2_square
-from .triality import AXAutomorphism, _splus_reflection, m_tilde, mu_tilde
+from .triality import (S_MINUS, S_PLUS, SPLUS_LATTICE, V, ax_element,
+                       ax_matrix, m_tilde, mu_tilde, splus_block)
 
 
 class LineBundleClass:
@@ -108,17 +109,7 @@ def varphi_matrix():
 
 def transform_ax():
     """The combined isometry of the two 24-dimensional algebras."""
-    phi = transform_matrix()
-    var = varphi_matrix()
-    rows = [[0] * 24 for _ in range(24)]
-    for i in range(8):
-        for j in range(8):
-            rows[i][j] = var[i, j]
-    perm = SMINUS_MASKS + SPLUS_MASKS
-    for i in range(16):
-        for j in range(16):
-            rows[8 + i][8 + j] = phi[perm[i], perm[j]]
-    return AXAutomorphism(IntMatrix._wrap(rows))
+    return ax_matrix(varphi_matrix(), transform_matrix())
 
 
 def phi_f_spinor(bundle):
@@ -272,9 +263,8 @@ def reflection_lift_identities(bundle1, bundle2):
     results.append(("eq-product-of-two-reflections-via-FM", composite == rhs))
 
     # S+ restriction of (a) is the product of the two reflections
-    refl = _splus_reflection(s) @ _splus_reflection(fs)
-    ok = all(composite.matrix[16 + i, 16 + j] == refl[i, j]
-             for i in range(8) for j in range(8))
+    r_s, r_fs = (reflection(SPLUS_LATTICE, y).matrix for y in (s, fs))
+    ok = composite.matrix.block(S_PLUS, S_PLUS, 8, 8) == r_s @ r_fs
     results.append(("eq-product-acts-by-two-reflections-on-S-plus", ok))
 
     # (b) conjugating m~ by the transform / by tensorization
@@ -296,17 +286,17 @@ def reflection_lift_identities(bundle1, bundle2):
 
 def splus_of_ax(aut, splus_vec):
     """Apply an algebra automorphism to an even-half vector."""
-    a = (0,) * 16 + tuple(splus_vec)
-    image = aut.apply(a)
-    if any(image[0:16]):
+    image = aut.apply(ax_element(s_plus=splus_vec))
+    if any(image[:S_PLUS]):
         raise ValueError("automorphism does not preserve S+")
-    return tuple(image[16:24])
+    return splus_block(image)
 
 
 def verify_phi_f_action(bundle):
     """Tensorization's block actions match the closed formulas; returns
     (name, ok) pairs."""
     aut = phi_f_ax(bundle)
+    wedge = wedge_matrix(bundle.chern_character())
     results = []
 
     # S+: (r,H,s) -> (r, H + r c1, s + r c1^2/2 + H ^ c1)
@@ -314,8 +304,7 @@ def verify_phi_f_action(bundle):
     for j in range(8):
         basis = tuple(int(i == j) for i in range(8))
         got = splus_of_ax(aut, basis)
-        sp = splus_embed(basis)
-        expected16 = wedge_matrix(bundle.chern_character()).apply(sp)
+        expected16 = wedge.column(SPLUS_MASKS[j])
         expected = tuple(expected16[m] for m in SPLUS_MASKS)
         if got != expected:
             ok = False
@@ -323,29 +312,22 @@ def verify_phi_f_action(bundle):
 
     # V: (w, theta) -> (w - D_theta(c1), theta)
     ok = True
-    mat = aut.matrix
+    v = aut.matrix.block(V, V, 8, 8)
     for t in range(4):
-        col = [mat[i, 4 + t] for i in range(8)]
         dtheta = contract_h1dual(t, bundle.c1_spinor())
-        expected = [-dtheta[i] for i in range(4)] + [int(i == t) for i in range(4)]
-        if col != expected:
+        expected = tuple(-x for x in dtheta) + tuple(int(i == t) for i in range(4))
+        if v.column(4 + t) != expected:
             ok = False
-        col = [mat[i, t] for i in range(8)]
-        if col != [int(i == t) for i in range(8)]:
+        if v.column(t) != tuple(int(i == t) for i in range(8)):
             ok = False
     results.append(("phi-F-on-V", ok))
 
     # S-: (w, w') -> (w, w' + c1 ^ w)
     ok = True
+    s_minus = aut.matrix.block(S_MINUS, S_MINUS, 8, 8)
     for t in range(4):
-        basis = [0] * 8
-        basis[t] = 1
-        a = (0,) * 8 + tuple(basis) + (0,) * 8
-        image = aut.apply(a)
-        got = tuple(image[8:16])
-        sp16 = [0] * 16
-        sp16[1 << t] = 1
-        expected16 = wedge_matrix(bundle.chern_character()).apply(tuple(sp16))
+        got = s_minus.column(t)
+        expected16 = wedge.column(1 << t)
         expected = tuple(expected16[m] for m in SMINUS_MASKS)
         if got != expected:
             ok = False

@@ -11,6 +11,11 @@ from .exact import (IntMatrix, RatMatrix, integer_kernel, primitive_vector,
                     smith_normal_form)
 
 
+class SearchExhausted(RuntimeError):
+    """A bounded search for lattice vectors found nothing: a report-level
+    condition, not a failure of the underlying theory."""
+
+
 class IntLattice:
     """A free Z-module of finite rank with a symmetric Gram matrix."""
 

@@ -16,13 +16,13 @@ from .clifford import (
     PAIRS,
     group_flags,
     mukai_triple,
-    splus_lattice,
     splus_pairing,
 )
 from .exact import IntMatrix, is_primitive, smith_normal_form, vector_gcd
 from .lattice import (
     IntLattice,
     LatticeIsometry,
+    SearchExhausted,
     chi_character,
     det_character,
     discriminant_group,
@@ -30,6 +30,10 @@ from .lattice import (
     signed_reflection,
 )
 from .triality import (
+    S_MINUS,
+    S_PLUS,
+    SPLUS_LATTICE,
+    V,
     AXAutomorphism,
     alpha_tilde_element,
     ax_element,
@@ -49,8 +53,6 @@ _t = mukai_triple(1, (1, 0, 0, 0, 0, 1), 2)  # int(A^2) = 2, n = 2
 if splus_pairing(_t, _t) != 2 * 2 - 2:
     raise ValueError("((1,A,n),(1,A,n)) is not 2n - int(A^2)")
 del _sn5, _t
-
-SPLUS_LATTICE = splus_lattice()
 
 
 def s_n(n):
@@ -115,12 +117,10 @@ class StabilizerGenerator:
             raise ValueError("%s realization does not fix (1,0,-%d)" % (kind, n))
 
     def splus_matrix(self):
-        m = self.ax.matrix
-        return IntMatrix._wrap([[m[16 + i, 16 + j] for j in range(8)] for i in range(8)])
+        return self.ax.matrix.block(S_PLUS, S_PLUS, 8, 8)
 
     def v_matrix(self):
-        m = self.ax.matrix
-        return IntMatrix._wrap([[m[i, j] for j in range(8)] for i in range(8)])
+        return self.ax.matrix.block(V, V, 8, 8)
 
     def orientation_sign(self):
         """ort of the even-half action (positive part of rank 4);
@@ -156,8 +156,9 @@ def sl4_generator(m, n):
     if not flags.in_spin:
         raise ValueError("wedge action is not a Spin element")
     # the dual block is the inverse transpose of M: read it off rho, certify
-    dual = IntMatrix([[flags.rho[4 + i, 4 + j] for j in range(4)] for i in range(4)])
-    if flags.rho != _block_diag(m, dual) or not (m.transpose() @ dual).is_identity():
+    dual = flags.rho.block(4, 4, 4, 4)
+    if flags.rho != IntMatrix.block_diagonal(m, dual) \
+            or not (m.transpose() @ dual).is_identity():
         raise ValueError("conjugation action differs from M + dual")
     return StabilizerGenerator("sl4", m, n, mu_tilde(s16, flags))
 
@@ -174,18 +175,6 @@ def _wedge_powers(m):
                 amask = sum(1 << r for r in rws)
                 sub = IntMatrix._wrap([[m[i, j] for j in cols] for i in rws])
                 rows[amask][bmask] = sub.det()
-    return IntMatrix._wrap(rows)
-
-
-def _block_diag(a, b):
-    n = a.rows + b.rows
-    rows = [[0] * n for _ in range(n)]
-    for i in range(a.rows):
-        for j in range(a.cols):
-            rows[i][j] = a[i, j]
-    for i in range(b.rows):
-        for j in range(b.cols):
-            rows[a.rows + i][a.cols + j] = b[i, j]
     return IntMatrix._wrap(rows)
 
 
@@ -236,13 +225,8 @@ def minus_one_generator(n):
     reached from the other side of the triality identification (the
     center of the full spin image meets the stabilizer in exactly this
     involution: the other central elements negate (1,0,-n))."""
-    rows = [[0] * 24 for _ in range(24)]
-    for i in range(8):
-        rows[i][i] = -1
-        rows[8 + i][8 + i] = -1
-        rows[16 + i][16 + i] = 1
-    return StabilizerGenerator("minus_one", None, n,
-                               AXAutomorphism(IntMatrix._wrap(rows)))
+    return StabilizerGenerator("minus_one", None, n, AXAutomorphism(
+        IntMatrix.diagonal((-1,) * 16 + (1,) * 8)))
 
 
 def word_generator(parts, n):
@@ -287,12 +271,10 @@ def mod_n_rep(gen, n=None):
     if n is None:
         n = gen.n
     v = gen.v_matrix()
-    for i in range(4):
-        for j in range(4, 8):
-            if v[i, j] % n != 0:
-                raise ValueError("dual summand is not invariant mod %d "
-                                 "(element does not stabilize the class)" % n)
-    return ModNMatrix(n, [[v[i, j] for j in range(4)] for i in range(4)])
+    if any(x % n for row in v.block(0, 4, 4, 4).data for x in row):
+        raise ValueError("dual summand is not invariant mod %d "
+                         "(element does not stabilize the class)" % n)
+    return ModNMatrix(n, v.block(0, 0, 4, 4).data)
 
 
 # --- cokernel of multiplication by a primitive negative class ---------------
@@ -309,8 +291,8 @@ def gamma_w_cokernel(w):
     if vector_gcd(w) != 1:
         raise ValueError("class must be primitive")
     mult = multiplication_operator(ax_element(s_plus=w))
-    m_w = IntMatrix([[mult[8 + i, j] for j in range(8)] for i in range(8)])
-    m_w_dag = IntMatrix([[mult[i, 8 + j] for j in range(8)] for i in range(8)])
+    m_w = mult.block(S_MINUS, V, 8, 8)
+    m_w_dag = mult.block(V, S_MINUS, 8, 8)
     if m_w_dag @ m_w != IntMatrix.identity(8).scale(-n):
         raise ValueError("adjoint composite is not multiplication by -n")
     snf = smith_normal_form(m_w)
@@ -352,7 +334,7 @@ def find_h2_with_square(target, rng, tries=10000, bound=3):
             return a
         if attempt % 1000 == 999:
             b += 1
-    raise ValueError("no degree-two class of square %d found" % target)
+    raise SearchExhausted("no degree-two class of square %d found" % target)
 
 
 def sample_generators(n, count, rng):
@@ -453,7 +435,7 @@ def _find_orthogonal_class(square, h6, rng, tries=20000, bound=3):
             return a
         if attempt % 2000 == 1999:
             b += 1
-    raise ValueError("no orthogonal degree-two class of square %d" % square)
+    raise SearchExhausted("no orthogonal degree-two class of square %d" % square)
 
 
 def det_chi_report(n, sample_count, seed):

@@ -65,6 +65,11 @@ def _rng(seed, suite):
     return random.Random("%d|%s" % (seed, suite))
 
 
+def _diagonal(aut):
+    """The 24 diagonal entries of an algebra automorphism's matrix."""
+    return tuple(aut.matrix[k, k] for k in range(24))
+
+
 def _json_vectors(vectors):
     """Compact sparse JSON rendering of rational coordinate vectors."""
     out = []
@@ -226,23 +231,18 @@ def suite_triality(*, seed=0):
     rep.add("anticommutator_law", "eq-composition-of-m-y-1-and-m-y-2", ok,
             "50 sampled pairs, anticommutator reading")
 
-    mat = tri.mu_tilde(tri.alpha_tilde_element()).matrix
-    ok = all(mat[16 + i, 16 + i] == 1 and mat[8 + i, 8 + i] == -1
-             and mat[i, i] == -1 for i in range(8))
+    minus_v_sminus = tri.ax_element((-1,) * 8, (-1,) * 8, (1,) * 8)
+    ok = _diagonal(tri.mu_tilde(tri.alpha_tilde_element())) == minus_v_sminus
     rep.add("alpha_tilde_action", "eq-central-element-tilde-alpha", ok,
             "identity on S+, -1 on S- and V")
 
-    tt = tri.tau_tilde().matrix
-    ok = tt[16, 16] == 1 and tt[23, 23] == 1 \
-        and all(tt[16 + i, 16 + i] == -1 for i in range(1, 7)) \
-        and all(tt[8 + i, 8 + i] == 1 for i in range(4)) \
-        and all(tt[12 + i, 12 + i] == -1 for i in range(4))
+    signs = _diagonal(tri.tau_tilde())[tri.S_MINUS:]
+    ok = signs == (1,) * 4 + (-1,) * 4 + (1,) + (-1,) * 6 + (1,)
     rep.add("tau_tilde_grading", "eq-tau-is-in-G-S-plus-even", ok,
             "grading signs on both spinor halves")
 
-    got = tri.outer_j(IntMatrix.identity(16).scale(-1), j).matrix
-    ok = all(got[i, i] == -1 for i in range(16)) \
-        and all(got[16 + i, 16 + i] == 1 for i in range(8))
+    got = tri.outer_j(IntMatrix.identity(16).scale(-1), j)
+    ok = _diagonal(got) == minus_v_sminus
     rep.add("outer_j_center", "thm-triality-principle", ok,
             "twist of -1 is identity on S+, -1 on V+S-")
     return rep

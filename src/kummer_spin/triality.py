@@ -1,6 +1,8 @@
 """The 24-dimensional commutative algebra on V + S- + S+ and its symmetries.
 
-Blocks of a 24-vector: indices 0..7 = V, 8..15 = S-, 16..23 = S+.
+This module owns the block layout of a 24-vector: V at index V = 0, S- at
+S_MINUS = 8 and S+ at S_PLUS = 16, each block 8 wide, with the spinor
+coordinates in the order SMINUS_MASKS + SPLUS_MASKS.
 The product multiplies V against the spinor halves by Clifford action and
 pairs S+ against S- into V through the V-pairing; squares of a single
 summand vanish.  The order-3 automorphism permuting the summands is built
@@ -17,20 +19,19 @@ from .clifford import (
     clifford_embed,
     group_flags,
     mukai_triple,
+    splus_lattice,
     splus_pairing,
     SPLUS_MASKS,
     SMINUS_MASKS,
 )
 from .exact import IntMatrix
+from .lattice import reflection
 
+V, S_MINUS, S_PLUS = 0, 8, 16
 _S_PERM = SMINUS_MASKS + SPLUS_MASKS  # A_X spinor coordinate order: S- then S+
 
-AX_GRAM = IntMatrix([
-    [V_GRAM[i, j] if i < 8 and j < 8 else
-     SMINUS_GRAM[i - 8, j - 8] if 8 <= i < 16 and 8 <= j < 16 else
-     SPLUS_GRAM[i - 16, j - 16] if i >= 16 and j >= 16 else 0
-     for j in range(24)]
-    for i in range(24)])
+AX_GRAM = IntMatrix.block_diagonal(V_GRAM, SMINUS_GRAM, SPLUS_GRAM)
+SPLUS_LATTICE = splus_lattice()  # one instance, one positive_basis cache
 
 
 def ax_element(v=None, s_minus=None, s_plus=None):
@@ -44,7 +45,7 @@ def ax_element(v=None, s_minus=None, s_plus=None):
 
 
 def splus_block(a):
-    return a[16:24]
+    return a[S_PLUS:S_PLUS + 8]
 
 
 def _product_table():
@@ -54,8 +55,8 @@ def _product_table():
     (e_k c, ALL^r)_S = s _TAU_SIGN[r] for the entry (r, c, s) of generator
     k, and the hyperbolic V-Gram sends the k-th pairing to index k+4 mod 8.
     """
-    minus = {m: 8 + i for i, m in enumerate(SMINUS_MASKS)}
-    plus = {m: 16 + i for i, m in enumerate(SPLUS_MASKS)}
+    minus = {m: S_MINUS + i for i, m in enumerate(SMINUS_MASKS)}
+    plus = {m: S_PLUS + i for i, m in enumerate(SPLUS_MASKS)}
     table = []
     for k, entries in enumerate(GEN_ENTRIES):
         for r, c, s in entries:
@@ -71,6 +72,7 @@ def _product_table():
 
 
 PRODUCT_TABLE = _product_table()
+_PRODUCTS = {(i, j): (k, s) for i, j, k, s in PRODUCT_TABLE}
 
 
 def ax_product(a, b):
@@ -89,6 +91,12 @@ def multiplication_operator(a):
         if a[i]:
             rows[k][j] += s * a[i]
     return IntMatrix._wrap(rows)
+
+
+def multiplication_block(y, i, j):
+    """The 8x8 block at block offsets (i, j) of multiplication by the
+    even-half class y: (S_MINUS, V) maps V -> S-, (V, S_MINUS) maps S- -> V."""
+    return multiplication_operator(ax_element(s_plus=y)).block(i, j, 8, 8)
 
 
 class AXAutomorphism:
@@ -150,14 +158,15 @@ class AXAutomorphism:
         return self._flags["twist"]
 
     def _product_twist(self):
+        # f(e_i e_j) = s M[:, k] for the table entry (i, j, k, s); a zero
+        # product reads as 0 e_0
         images = [self.matrix.column(j) for j in range(24)]
         twist = None
         for i in range(24):
-            ei = tuple(int(k == i) for k in range(24))
             for j in range(i, 24):
-                ej = tuple(int(k == j) for k in range(24))
-                left = tuple(self.apply(ax_product(ei, ej)))
-                right = tuple(ax_product(images[i], images[j]))
+                k, s = _PRODUCTS.get((i, j), (0, 0))
+                left = tuple(s * x for x in images[k])
+                right = ax_product(images[i], images[j])
                 if not any(left) and not any(right):
                     continue
                 if left == right:
@@ -208,40 +217,24 @@ def mu_tilde(x, flags=None):
         flags = group_flags(x)
     if flags.norm != 1:
         raise ValueError("element is not in the kernel of the norm character")
-    rows = [[0] * 24 for _ in range(24)]
-    for i in range(8):
-        for j in range(8):
-            rows[i][j] = flags.rho[i, j]
-    for i in range(16):
-        for j in range(16):
-            rows[8 + i][8 + j] = x[_S_PERM[i], _S_PERM[j]]
-    return AXAutomorphism(IntMatrix._wrap(rows))
+    return ax_matrix(flags.rho, x)
 
 
-def _splus_reflection(y):
-    """Reflection matrix R_y on the S+ block, for (y,y)_{S+} = +-2."""
-    yy = splus_pairing(y, y)
-    if yy not in (2, -2):
-        raise ValueError("S+ reflection needs square +-2, got %s" % (yy,))
-    cols = []
-    for j in range(8):
-        e = tuple(int(i == j) for i in range(8))
-        coef = 2 * splus_pairing(e, y) // yy
-        cols.append(tuple(e[i] - coef * y[i] for i in range(8)))
-    return IntMatrix(list(zip(*cols)))
+def ax_matrix(v8, s16):
+    """The automorphism acting by the 8x8 matrix v8 on V and by the 16x16
+    spinor-module matrix s16 (indexed by masks) on S- + S+."""
+    spin = IntMatrix._wrap([s16[a, b] for b in _S_PERM] for a in _S_PERM)
+    return AXAutomorphism(IntMatrix.block_diagonal(v8, spin))
 
 
 def m_tilde(y):
     """The Pin-type element of a square +-2 class y in S+: multiplication
-    by y on V + S-, minus the reflection in y on S+."""
+    by y on V + S-, minus the reflection in y on S+.  Multiplication by y
+    vanishes on S+ and lands in V + S-, so the two parts are blocks."""
     y = tuple(y)
-    mult = multiplication_operator(ax_element(s_plus=y))
-    refl = _splus_reflection(y)
-    rows = [list(row) for row in mult.data]
-    for i in range(8):
-        for j in range(8):
-            rows[16 + i][16 + j] = -refl[i, j]
-    return AXAutomorphism(IntMatrix._wrap(rows))
+    mult = multiplication_operator(ax_element(s_plus=y)).block(V, V, 16, 16)
+    refl = reflection(SPLUS_LATTICE, y).matrix
+    return AXAutomorphism(IntMatrix.block_diagonal(mult, refl.scale(-1)))
 
 
 def m_tilde_pair(y1, y2):
@@ -260,12 +253,7 @@ def m_tilde_pair(y1, y2):
 
 def minus_one():
     """mu-tilde of -1: identity on V, -1 on the spinor halves."""
-    rows = [[0] * 24 for _ in range(24)]
-    for i in range(8):
-        rows[i][i] = 1
-        rows[8 + i][8 + i] = -1
-        rows[16 + i][16 + i] = -1
-    return AXAutomorphism(IntMatrix._wrap(rows))
+    return AXAutomorphism(IntMatrix.diagonal((1,) * 8 + (-1,) * 16))
 
 
 def alpha_tilde_element():

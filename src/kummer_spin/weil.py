@@ -12,8 +12,7 @@ the Hermitian determinant is a rational square.
 from fractions import Fraction
 from math import isqrt
 
-from .clifford import (SPLUS_GRAM, V_GRAM, splus_lattice, splus_pairing,
-                       v_pairing)
+from .clifford import SPLUS_GRAM, V_GRAM, splus_pairing, v_pairing
 from .exact import (
     IntMatrix,
     RatMatrix,
@@ -24,30 +23,9 @@ from .exact import (
     rational_kernel,
     vector_gcd,
 )
-from .lattice import orthogonal_complement_basis
-from .triality import ax_element, m_tilde_pair, multiplication_operator
-
-SPLUS = splus_lattice()
-
-
-class SearchExhausted(RuntimeError):
-    """The bounded search did not find the required configuration; a
-    report-level condition, not a failure of the underlying theory."""
-
-
-# the V and S- blocks of the 24-dimensional algebra start at 0 and 8
-_V, _SMINUS = 0, 8
-
-
-def _block(mat24, i, j):
-    """The 8x8 block of a 24x24 matrix at rows i.. and columns j.."""
-    return IntMatrix._wrap(row[j:j + 8] for row in mat24.data[i:i + 8])
-
-
-def _mult(y, i, j):
-    """A block of multiplication by an even-half class: (_SMINUS, _V) maps
-    V -> S-, and (_V, _SMINUS) maps S- -> V."""
-    return _block(multiplication_operator(ax_element(s_plus=y)), i, j)
+from .lattice import SearchExhausted, orthogonal_complement_basis
+from .triality import (SPLUS_LATTICE as SPLUS, S_MINUS, V, m_tilde_pair,
+                       multiplication_block)
 
 
 class WeilStructure:
@@ -70,7 +48,8 @@ class WeilStructure:
         self.n = -ww // 2
         self.k = -hh // 2
         self.d = self.n * self.k
-        self.theta_prime = _mult(w, _V, _SMINUS) @ _mult(h, _SMINUS, _V)
+        self.theta_prime = (multiplication_block(w, V, S_MINUS)
+                            @ multiplication_block(h, S_MINUS, V))
         sq = self.theta_prime @ self.theta_prime
         if sq != IntMatrix.identity(8).scale(-self.d):
             raise ValueError("theta' does not square to -d")
@@ -115,7 +94,8 @@ class ComplexStructureJ:
             raise ValueError("plane basis classes must have square -2")
         if splus_pairing(p1, p2) != 0:
             raise ValueError("plane basis classes must be orthogonal")
-        self.num = _mult(p1, _V, _SMINUS) @ _mult(p2, _SMINUS, _V)
+        self.num = (multiplication_block(p1, V, S_MINUS)
+                    @ multiplication_block(p2, S_MINUS, V))
         self.den = q1 * q2
         if self.num @ self.num != IntMatrix.identity(8).scale(-self.den ** 2):
             raise ValueError("J^2 != -1")
@@ -143,8 +123,7 @@ def kahler_metric(ws, j):
     g = j.num.transpose() @ ws.theta_form
     if not g.is_symmetric():
         raise ValueError("metric is not symmetric")
-    minors = [IntMatrix._wrap(row[:k] for row in g.data[:k]).det()
-              for k in range(1, 9)]
+    minors = [g.block(0, 0, k, k).det() for k in range(1, 9)]
     for sign in (1, -1):
         if all(sign ** k * m > 0 for k, m in enumerate(minors, 1)):
             return _ratio(g, j.den), sign
@@ -359,7 +338,7 @@ class DiscriminantCertificate:
 def _isotropic_plane(z):
     """The rank-4 rational kernel of multiplication V -> S- by an isotropic
     even-half class."""
-    basis = rational_kernel(_mult(z, _SMINUS, _V))
+    basis = rational_kernel(multiplication_block(z, S_MINUS, V))
     if len(basis) != 4:
         raise SearchExhausted("isotropic class kernel is not 4-dimensional")
     return basis
@@ -420,7 +399,7 @@ def hermitian_and_discriminant(ws, rng):
     # the two involutions: eta_i = m-pair of (e_i, f_i); squares to the
     # identity and reverses the sign of the V-pairing
     etas = [m_tilde_pair(e1, f1), m_tilde_pair(e2, f2)]
-    eta_v = [_block(eta.matrix, _V, _V) for eta in etas]
+    eta_v = [eta.matrix.block(V, V, 8, 8) for eta in etas]
     checks["eta_involutions"] = all(
         (eta @ eta).matrix.is_identity()
         and v.transpose() @ V_GRAM @ v == V_GRAM.scale(-1)

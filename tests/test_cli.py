@@ -197,3 +197,19 @@ def test_nonpositive_samples_exit_2(args):
     assert result.returncode == 2
     assert "--samples must be an integer of at least 1" in result.stderr
     assert result.stdout == ""
+
+
+@pytest.mark.parametrize("suite, n, message", [
+    ("weil", "60", "no orthogonal degree-two class of square 118"),
+    ("modn", "250", "no degree-two class of square 498 found"),
+    ("stabilizer", "250", "no degree-two class of square 498 found"),
+])
+def test_exhausted_search_exits_2(suite, n, message):
+    # a class parameter too large for the bounded searches is a usage
+    # error: one stderr line, no report, no FAIL rows
+    result = run_cli("verify", suite, "--n", n)
+    assert result.returncode == 2
+    assert "Traceback" not in result.stderr
+    assert result.stderr == "suite %s: bounded search exhausted: %s\n" \
+        % (suite, message)
+    assert result.stdout == ""

@@ -201,3 +201,72 @@ def test_is_rational_square():
 def test_is_primitive():
     assert is_primitive((3, 5))
     assert not is_primitive((2, 4, 6))
+
+
+def naive_block(rows, i, j, nr, nc):
+    return tuple(tuple(rows[i + a][j + b] for b in range(nc)) for a in range(nr))
+
+
+def naive_block_diagonal(blocks, zero):
+    height = sum(len(b) for b in blocks)
+    width = sum(len(b[0]) for b in blocks)
+    out = [[zero] * width for _ in range(height)]
+    top = left = 0
+    for b in blocks:
+        for a, row in enumerate(b):
+            for c, x in enumerate(row):
+                out[top + a][left + c] = x
+        top += len(b)
+        left += len(b[0])
+    return tuple(map(tuple, out))
+
+
+@pytest.mark.parametrize("cls", [IntMatrix, RatMatrix])
+def test_block_matches_naive_loops(cls):
+    rng = random.Random(5)
+    for nr, nc in ((1, 1), (1, 7), (7, 1), (3, 5), (6, 6)):
+        rows = [[rng.randint(-4, 4) for _ in range(nc)] for _ in range(nr)]
+        if cls is RatMatrix:
+            rows = [[Fraction(x, rng.randint(1, 3)) for x in row] for row in rows]
+        m = cls(rows)
+        for _ in range(20):
+            i, j = rng.randrange(nr), rng.randrange(nc)
+            h, w = rng.randint(1, nr - i), rng.randint(1, nc - j)
+            got = m.block(i, j, h, w)
+            assert type(got) is cls
+            assert (got.rows, got.cols) == (h, w)
+            assert got.data == naive_block(rows, i, j, h, w)
+        assert m.block(0, 0, nr, nc) == m
+        for bad in ((0, 0, nr + 1, 1), (0, 0, 1, nc + 1), (-1, 0, 1, 1),
+                    (0, nc, 1, 1), (0, 0, 0, 1), (0, 0, 1, 0)):
+            with pytest.raises(ValueError):
+                m.block(*bad)
+
+
+@pytest.mark.parametrize("cls", [IntMatrix, RatMatrix])
+def test_block_diagonal_matches_naive_loops(cls):
+    rng = random.Random(6)
+    for shapes in (((1, 1),), ((1, 4), (3, 1)), ((2, 3), (1, 1), (4, 2)),
+                   ((8, 8), (8, 8), (8, 8))):
+        raw = [[[rng.randint(-3, 3) for _ in range(c)] for _ in range(r)]
+               for r, c in shapes]
+        blocks = [cls(b) for b in raw]
+        got = cls.block_diagonal(*blocks)
+        assert type(got) is cls
+        assert got.data == naive_block_diagonal(
+            [b.data for b in blocks], cls._zero)
+        # each block reads back from its diagonal position
+        top = left = 0
+        for b in blocks:
+            assert got.block(top, left, b.rows, b.cols) == b
+            top += b.rows
+            left += b.cols
+    with pytest.raises(ValueError):
+        cls.block_diagonal()
+
+
+def test_block_diagonal_rejects_mixed_domains():
+    with pytest.raises(TypeError):
+        IntMatrix.block_diagonal(IntMatrix([[1]]), RatMatrix([[1]]))
+    with pytest.raises(TypeError):
+        RatMatrix.block_diagonal(IntMatrix([[1]]))

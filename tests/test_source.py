@@ -49,3 +49,51 @@ def test_only_matrix_base_defines_matmul_and_apply():
             owner = getattr(parent, "name", type(parent).__name__)
             found += [(owner, n) for n in names if n in ("__matmul__", "apply")]
     assert sorted(found) == [("_Matrix", "__matmul__"), ("_Matrix", "apply")]
+
+
+def _uses_offset(expr):
+    # the literal 8 or 16 itself, or a sum or difference with it
+    if isinstance(expr, ast.Constant):
+        return type(expr.value) is int and expr.value in (8, 16)
+    if isinstance(expr, ast.BinOp) and isinstance(expr.op, (ast.Add, ast.Sub)):
+        return _uses_offset(expr.left) or _uses_offset(expr.right)
+    return False
+
+
+def _layout_literals(tree):
+    """Subscripts and slices that use 8 or 16 as an index or offset, and
+    sequence displays repeated 24 times: reads of the V + S- + S+ layout."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Subscript):
+            parts = node.slice.elts if isinstance(node.slice, ast.Tuple) \
+                else [node.slice]
+            parts = [p for part in parts for p in (
+                (part.lower, part.upper) if isinstance(part, ast.Slice) else (part,))]
+            if any(p is not None and _uses_offset(p) for p in parts):
+                yield node.lineno
+        elif isinstance(node, ast.BinOp) and isinstance(node.op, ast.Mult):
+            sides = (node.left, node.right)
+            if any(isinstance(s, (ast.List, ast.Tuple)) for s in sides) and any(
+                    isinstance(s, ast.Constant) and s.value == 24 for s in sides):
+                yield node.lineno
+
+
+def test_block_layout_lives_in_triality():
+    # V at 0, S- at 8, S+ at 16: other modules read blocks through
+    # triality's offsets and the matrix block helpers
+    found = []
+    for path in sorted(SRC.glob("*.py")):
+        if path.name != "triality.py":
+            tree = ast.parse(path.read_text(), str(path))
+            found += ["%s:%d" % (path.name, n) for n in _layout_literals(tree)]
+    assert found == []
+
+
+def test_layout_guard_sees_hand_written_layout():
+    samples = ("m[16 + i, 16 + j]", "a[8:16]", "image[0:16]", "rows[8 + i][j]",
+               "tt[16, 16]", "[0] * 24", "(0,) * 24", "row[j:j + 8]")
+    for text in samples:
+        assert list(_layout_literals(ast.parse(text))) == [1], text
+    for text in ("m[S_PLUS + i, j]", "x[4 + t]", "[0] * 16", "range(8)",
+                 "g[rng.randrange(8)]", "a[:k]"):
+        assert list(_layout_literals(ast.parse(text))) == [], text

@@ -413,3 +413,174 @@ def test_ax_product_matches_definition():
         assert ax_product(a, b) == _reference_ax_product(a, b)
         cols = [_reference_ax_product(a, unit24(j)) for j in range(24)]
         assert multiplication_operator(a) == IntMatrix(list(zip(*cols)))
+
+
+# --- the block layout: one assembly, multiplication blocks, reflections ----
+
+def _old_ax_rows(v8, s16):
+    """The hand-written assembly mu_tilde and transform_ax used to share:
+    v8 on V, s16 permuted to SMINUS_MASKS + SPLUS_MASKS on S- + S+."""
+    rows = [[0] * 24 for _ in range(24)]
+    for i in range(8):
+        for j in range(8):
+            rows[i][j] = v8[i, j]
+    perm = SMINUS_MASKS + SPLUS_MASKS
+    for i in range(16):
+        for j in range(16):
+            rows[8 + i][8 + j] = s16[perm[i], perm[j]]
+    return IntMatrix(rows)
+
+
+def _old_splus_reflection(y):
+    """R_y on S+ from the pairing, for (y, y) = +-2."""
+    yy = splus_pairing(y, y)
+    if yy not in (2, -2):
+        raise ValueError("S+ reflection needs square +-2, got %s" % (yy,))
+    cols = []
+    for j in range(8):
+        e = tuple(int(i == j) for i in range(8))
+        coef = 2 * splus_pairing(e, y) // yy
+        cols.append(tuple(e[i] - coef * y[i] for i in range(8)))
+    return IntMatrix(list(zip(*cols)))
+
+
+def _old_m_tilde(y):
+    mult = multiplication_operator(ax_element(s_plus=y))
+    refl = _old_splus_reflection(y)
+    rows = [list(row) for row in mult.data]
+    for i in range(8):
+        for j in range(8):
+            rows[16 + i][16 + j] = -refl[i, j]
+    return IntMatrix(rows)
+
+
+def _square_two_classes(seed, count):
+    rng = random.Random(seed)
+    out = []
+    while len(out) < count:
+        y = tuple(rng.randint(-2, 2) for _ in range(8))
+        if splus_pairing(y, y) in (2, -2):
+            out.append(y)
+    return out
+
+
+def test_layout_constants_and_gram():
+    from kummer_spin.clifford import SMINUS_GRAM, SPLUS_GRAM, V_GRAM
+    from kummer_spin.triality import S_MINUS, S_PLUS, V
+
+    assert (V, S_MINUS, S_PLUS) == (0, 8, 16)
+    for lo, gram in ((V, V_GRAM), (S_MINUS, SMINUS_GRAM), (S_PLUS, SPLUS_GRAM)):
+        assert AX_GRAM.block(lo, lo, 8, 8) == gram
+        for other in {V, S_MINUS, S_PLUS} - {lo}:
+            assert AX_GRAM.block(lo, other, 8, 8).is_zero()
+    assert splus_block(tuple(range(24))) == tuple(range(16, 24))
+
+
+def test_ax_matrix_matches_hand_assembly():
+    from kummer_spin.clifford import group_flags, wedge_matrix
+    from kummer_spin.triality import ax_matrix
+
+    rng = random.Random(17)
+    for _ in range(10):
+        v8 = IntMatrix([[rng.randint(-3, 3) for _ in range(8)] for _ in range(8)])
+        s16 = IntMatrix([[rng.randint(-3, 3) for _ in range(16)]
+                         for _ in range(16)])
+        assert ax_matrix(v8, s16).matrix == _old_ax_rows(v8, s16)
+    # mu_tilde on Spin elements: a vector product and tensorizations
+    x = clifford_embed((1, 0, 0, 0, 1, 0, 0, 0)) \
+        @ clifford_embed((0, 1, 0, 0, 0, 1, 0, 0))
+    elements = [x, alpha_tilde_element(), IntMatrix.identity(16).scale(-1)]
+    for _ in range(5):
+        bundle = fm.LineBundleClass(tuple(rng.randint(-2, 2) for _ in range(6)))
+        elements.append(wedge_matrix(bundle.chern_character()))
+    for x in elements:
+        flags = group_flags(x)
+        assert mu_tilde(x, flags).matrix == _old_ax_rows(flags.rho, x)
+    assert fm.transform_ax().matrix == _old_ax_rows(
+        fm.varphi_matrix(), fm.transform_matrix())
+
+
+def test_multiplication_block_is_a_slice_of_the_operator():
+    from kummer_spin.triality import S_MINUS, S_PLUS, V, multiplication_block
+
+    rng = random.Random(23)
+    for _ in range(20):
+        y = tuple(rng.randint(-3, 3) for _ in range(8))
+        full = multiplication_operator(ax_element(s_plus=y)).data
+        for i in (V, S_MINUS, S_PLUS):
+            for j in (V, S_MINUS, S_PLUS):
+                got = multiplication_block(y, i, j)
+                assert got.data == tuple(row[j:j + 8] for row in full[i:i + 8])
+
+
+def test_lattice_reflection_matches_splus_formula():
+    from kummer_spin.lattice import reflection
+    from kummer_spin.triality import SPLUS_LATTICE
+
+    for y in _square_two_classes(29, 50):
+        assert reflection(SPLUS_LATTICE, y).matrix == _old_splus_reflection(y)
+        assert m_tilde(y).matrix == _old_m_tilde(y)
+    four = mukai_triple(1, (1, 0, 0, 0, 0, 0), 2)
+    assert splus_pairing(four, four) == 4
+    with pytest.raises(ValueError):
+        reflection(SPLUS_LATTICE, four)
+    with pytest.raises(ValueError):
+        m_tilde(four)
+
+
+def test_one_splus_lattice_instance():
+    from kummer_spin import lattice, stabilizer, triality, weil
+
+    assert weil.SPLUS is stabilizer.SPLUS_LATTICE is triality.SPLUS_LATTICE
+    assert weil.SearchExhausted is stabilizer.SearchExhausted \
+        is lattice.SearchExhausted
+
+
+def _old_product_twist(aut):
+    """The product twist by 300 ax_product pairs on unit vectors."""
+    images = [aut.matrix.column(j) for j in range(24)]
+    twist = None
+    for i in range(24):
+        for j in range(i, 24):
+            left = tuple(aut.apply(ax_product(unit24(i), unit24(j))))
+            right = tuple(ax_product(images[i], images[j]))
+            if not any(left) and not any(right):
+                continue
+            if left == right:
+                eps = 1
+            elif left == tuple(-x for x in right):
+                eps = -1
+            else:
+                return None
+            if {i // 8, j // 8} == {0, 1}:
+                if twist is None:
+                    twist = eps
+                elif twist != eps:
+                    return None
+            elif eps != 1:
+                return None
+    return 1 if twist is None else twist
+
+
+def test_product_twist_matches_unit_vector_loop():
+    from kummer_spin import stabilizer
+
+    plus, minus = mukai_triple(1, [0] * 6, 1), mukai_triple(1, [0] * 6, -1)
+    auts = [build_j(), tau_tilde(), fm.transform_ax(), m_tilde_pair(plus, minus),
+            m_tilde_pair(plus, plus), minus_one()]
+    auts += [g.ax for g in stabilizer.sample_generators(
+        3, 10, random.Random("twist"))]
+    j = build_j().matrix
+    for r, c in ((0, 0), (3, 17), (12, 5), (20, 20)):
+        rows = [list(row) for row in j.data]
+        rows[r][c] = -rows[r][c] if rows[r][c] else 1
+        auts.append(AXAutomorphism(rows))
+    # flip the sign of the whole S- block: the V x S- component twists
+    auts.append(AXAutomorphism(
+        IntMatrix.diagonal((1,) * 8 + (-1,) * 8 + (1,) * 8) @ j))
+    seen = set()
+    for aut in auts:
+        got = AXAutomorphism(aut.matrix)._product_twist()
+        assert got == _old_product_twist(aut)
+        seen.add(got)
+    assert seen == {1, -1, None}
