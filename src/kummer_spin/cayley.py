@@ -14,8 +14,7 @@ from fractions import Fraction
 from itertools import combinations
 
 from .clifford import degree, merge_sign
-from .exact import (IntMatrix, RatMatrix, in_span, primitive_vector,
-                    rational_kernel)
+from .exact import IntMatrix, in_span, primitive_vector
 
 
 class ExtRingElement:
@@ -282,24 +281,22 @@ def invariant_rank(v_actions, expect_contains=None):
             break
         diff = wedge4_matrix(m8) - IntMatrix.identity(70)
         if basis is None:
-            basis = [primitive_vector(v) for v in rational_kernel(diff)]
+            basis = diff.kernel()
             continue
         # kernel of the 70 x len(basis) map expressed in the current basis
         columns = IntMatrix._wrap(zip(*basis))
-        inner = rational_kernel(diff @ columns)
-        basis = [primitive_vector(columns.apply(primitive_vector(v)))
-                 for v in inner]
+        basis = [primitive_vector(columns.apply(v)) for v in (diff @ columns).kernel()]
     if basis is None:
         basis = [tuple(int(i == j) for i in range(70)) for j in range(70)]
     if expect_contains is not None and not in_span(expect_contains, basis):
         raise ValueError("expected class missing from the fixed space")
     if not basis:
         return 0, []
-    reduced, _ = RatMatrix([b[::-1] for b in basis]).rref()
-    return len(basis), [row[::-1] for row in reversed(reduced.data)]
+    rows, pivots = IntMatrix._wrap([b[::-1] for b in basis]).echelon()
+    return len(basis), [tuple(Fraction(x, row[c]) for x in reversed(row))
+                        for row, c in zip(reversed(rows), reversed(pivots))]
 
 
 def proportional(u, v):
     """Whether two vectors are nonzero rational multiples of each other."""
-    m = RatMatrix([list(u), list(v)])
-    return m.rank() == 1 and any(u) and any(v)
+    return any(u) and any(v) and in_span(v, [u])

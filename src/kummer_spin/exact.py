@@ -223,6 +223,48 @@ class IntMatrix(_Matrix):
     def to_rat(self):
         return RatMatrix(self.data)
 
+    def echelon(self):
+        """Fraction-free Gauss-Jordan with row-gcd reduction (not Bareiss's
+        exact division); returns (rows, pivot columns).  Each pivot row is
+        zero in every other pivot column, so row r over its pivot is row r
+        of the reduced row echelon form."""
+        m = [list(row) for row in self.data]
+        pivots = []
+        for c in range(self.cols):
+            r = len(pivots)
+            pr = next((i for i in range(r, self.rows) if m[i][c]), None)
+            if pr is None:
+                continue
+            m[r], m[pr] = m[pr], m[r]
+            prow, p = m[r], m[r][c]
+            for i, row in enumerate(m):
+                f = row[c]
+                if f and i != r:
+                    row = [p * a - f * b for a, b in zip(row, prow)]
+                    g = gcd(*row)
+                    m[i] = [x // g for x in row] if g > 1 else row
+            pivots.append(c)
+        return [tuple(row) for row in m[:len(pivots)]], pivots
+
+    def kernel(self):
+        """Basis of ker(self): per non-pivot column f, the primitive integer
+        vector positive at f and zero at the other non-pivot columns.  This
+        is primitive_vector of each vector of rational_kernel, in order."""
+        rows, pivots = self.echelon()
+        big = lcm(*(row[c] for row, c in zip(rows, pivots)))
+        basis = []
+        for f in sorted(set(range(self.cols)).difference(pivots)):
+            v = [0] * self.cols
+            v[f] = big
+            for row, c in zip(rows, pivots):
+                v[c] = -row[f] * (big // row[c])
+            g = gcd(*v)
+            basis.append(tuple(x // g for x in v))
+        return basis
+
+    def rank(self):
+        return len(self.echelon()[1])
+
 
 class RatMatrix(_Matrix):
     """Dense matrix over the rationals (entries normalized Fractions)."""
@@ -320,9 +362,8 @@ def rational_kernel(a):
 
 def in_span(vec, basis):
     """Whether vec lies in the span of the independent vectors in basis."""
-    if not basis:
-        return all(x == 0 for x in vec)
-    return RatMatrix(list(basis) + [vec]).rank() == len(basis)
+    rows = [primitive_vector(v) for v in (*basis, vec)]
+    return IntMatrix(rows).rank() == len(basis)
 
 
 class SmithForm:

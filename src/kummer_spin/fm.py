@@ -12,7 +12,6 @@ from .clifford import (
     ALL,
     PAIRS,
     SMINUS_MASKS,
-    SPLUS_MASKS,
     act_vector,
     clifford_embed,
     degree,
@@ -24,7 +23,7 @@ from .clifford import (
 )
 from .exact import IntMatrix
 from .lattice import reflection
-from .stabilizer import h2_square
+from .stabilizer import h2_square, h2_wedge
 from .triality import (S_MINUS, S_PLUS, SPLUS_LATTICE, V, ax_element,
                        ax_matrix, m_tilde, mu_tilde, splus_block)
 
@@ -293,20 +292,20 @@ def splus_of_ax(aut, splus_vec):
 
 
 def verify_phi_f_action(bundle):
-    """Tensorization's block actions match the closed formulas; returns
-    (name, ok) pairs."""
+    """Tensorization's block actions match the closed formulas, computed
+    from c1 alone; returns (name, ok) pairs."""
     aut = phi_f_ax(bundle)
-    wedge = wedge_matrix(bundle.chern_character())
+    c1, c1_spinor, half = bundle.c1, bundle.c1_spinor(), bundle.c1_square_half()
     results = []
 
     # S+: (r,H,s) -> (r, H + r c1, s + r c1^2/2 + H ^ c1)
     ok = True
     for j in range(8):
         basis = tuple(int(i == j) for i in range(8))
-        got = splus_of_ax(aut, basis)
-        expected16 = wedge.column(SPLUS_MASKS[j])
-        expected = tuple(expected16[m] for m in SPLUS_MASKS)
-        if got != expected:
+        r, h, s = basis[0], basis[1:7], basis[7]
+        expected = ((r,) + tuple(x + r * c for x, c in zip(h, c1))
+                    + (s + r * half + h2_wedge(h, c1),))
+        if splus_of_ax(aut, basis) != expected:
             ok = False
     results.append(("phi-F-on-S-plus", ok))
 
@@ -314,7 +313,7 @@ def verify_phi_f_action(bundle):
     ok = True
     v = aut.matrix.block(V, V, 8, 8)
     for t in range(4):
-        dtheta = contract_h1dual(t, bundle.c1_spinor())
+        dtheta = contract_h1dual(t, c1_spinor)
         expected = tuple(-x for x in dtheta) + tuple(int(i == t) for i in range(4))
         if v.column(4 + t) != expected:
             ok = False
@@ -326,10 +325,11 @@ def verify_phi_f_action(bundle):
     ok = True
     s_minus = aut.matrix.block(S_MINUS, S_MINUS, 8, 8)
     for t in range(4):
-        got = s_minus.column(t)
-        expected16 = wedge.column(1 << t)
-        expected = tuple(expected16[m] for m in SMINUS_MASKS)
-        if got != expected:
+        bit = 1 << t
+        expected = tuple(int(m == bit) for m in SMINUS_MASKS[:4]) + tuple(
+            c1_spinor[m ^ bit] * merge_sign(m ^ bit, bit) if m & bit else 0
+            for m in SMINUS_MASKS[4:])
+        if s_minus.column(t) != expected:
             ok = False
     results.append(("phi-F-on-S-minus", ok))
     return results

@@ -6,14 +6,26 @@ computed from Smith normal form of the Gram matrix.
 """
 
 from fractions import Fraction
+from itertools import islice
 
 from .exact import (IntMatrix, RatMatrix, integer_kernel, primitive_vector,
                     smith_normal_form)
+
+_SAMPLE_CAP = 20000  # draws per sample_accepted call
 
 
 class SearchExhausted(RuntimeError):
     """A bounded search for lattice vectors found nothing: a report-level
     condition, not a failure of the underlying theory."""
+
+
+def sample_accepted(draw, accept, count, what):
+    """The first count values of draw() that accept takes, in draw order.
+    Raises SearchExhausted when _SAMPLE_CAP draws yield fewer."""
+    out = list(islice(filter(accept, (draw() for _ in range(_SAMPLE_CAP))), count))
+    if len(out) < count:
+        raise SearchExhausted("%s: fewer than %d in %d draws" % (what, count, _SAMPLE_CAP))
+    return out
 
 
 class IntLattice:

@@ -27,6 +27,7 @@ from .lattice import (
     det_character,
     discriminant_group,
     ort_character,
+    sample_accepted,
     signed_reflection,
 )
 from .triality import (
@@ -405,14 +406,11 @@ def wh_stabilizer_v_actions(n, h6, count, rng):
     h6 = tuple(h6)
     hvec = mukai_triple(0, h6, 0)
     out = []
-    gens = []
-    seen = 0
-    while len(gens) < count:
-        seen += 1
-        if len(gens) % 3 != 2:
-            v = tuple(rng.randint(-2, 2) for _ in range(4))
-            if not any(v):
-                continue
+    while len(out) < count:
+        if len(out) % 3 != 2:
+            (v,) = sample_accepted(
+                lambda: tuple(rng.randint(-2, 2) for _ in range(4)), any, 1,
+                "nonzero transvection vectors")
             g = sl4_generator(bivector_transvection(h6, v), n)
         else:
             a1 = _find_orthogonal_class(2 * n - 2, h6, rng)
@@ -421,7 +419,6 @@ def wh_stabilizer_v_actions(n, h6, count, rng):
         image = splus_block(g.ax.apply(ax_element(s_plus=hvec)))
         if tuple(image) != tuple(hvec):
             raise ValueError("generator moves the polarization")
-        gens.append(g)
         out.append(g.v_matrix())
     return out
 
@@ -448,13 +445,10 @@ def det_chi_report(n, sample_count, seed):
     disc = discriminant_group(lat)
     # raw reflections: det(r_u) = (u,u)/2, chi(r_u) = -(u,u)/2
     reflections_ok = True
-    found = 0
-    while found < 50:
-        coords = tuple(rng.randint(-3, 3) for _ in range(7))
+    for coords in sample_accepted(
+            lambda: tuple(rng.randint(-3, 3) for _ in range(7)),
+            lambda c: lat.square(c) in (2, -2), 50, "square +-2 classes"):
         uu = lat.square(coords)
-        if uu not in (2, -2):
-            continue
-        found += 1
         r = signed_reflection(lat, coords)
         if det_character(r) != uu // 2 \
                 or chi_character(lat, r, disc) != -uu // 2:

@@ -17,8 +17,9 @@ from . import fm as fm_mod
 from . import stabilizer as stab
 from . import triality as tri
 from . import weil as weil_mod
-from .exact import IntMatrix
-from .lattice import chi_character, det_character, discriminant_group, ort_character
+from .exact import IntMatrix, vector_gcd
+from .lattice import (chi_character, det_character, discriminant_group,
+                      ort_character, sample_accepted)
 
 
 class CheckResult:
@@ -169,12 +170,9 @@ def suite_clifford(*, seed=0):
 
     vlat = cl.v_lattice()
     ok = True
-    found = 0
-    while found < 50:
-        v = tuple(rng.randint(-3, 3) for _ in range(8))
-        if cl.v_pairing(v, v) not in (2, -2):
-            continue
-        found += 1
+    for v in sample_accepted(
+            lambda: tuple(rng.randint(-3, 3) for _ in range(8)),
+            lambda v: cl.v_pairing(v, v) in (2, -2), 50, "square +-2 vectors"):
         try:
             flags = cl.group_flags(cl.clifford_embed(v))
         except cl.NotInCliffordGroup:
@@ -392,14 +390,10 @@ def suite_gamma(*, n=3, seed=0):
             got_n == n, "m_w-adjoint o m_w = -n id (asserted in computation)")
     rng = _rng(seed, "gamma")
     ok = True
-    found = 0
-    while found < 3:
-        w = tuple(rng.randint(-3, 3) for _ in range(8))
-        from .exact import vector_gcd
-
-        if cl.splus_pairing(w, w) >= -2 or vector_gcd(w) != 1:
-            continue
-        found += 1
+    for w in sample_accepted(
+            lambda: tuple(rng.randint(-3, 3) for _ in range(8)),
+            lambda w: cl.splus_pairing(w, w) < -2 and vector_gcd(w) == 1, 3,
+            "primitive classes of square below -2"):
         f2, n2 = stab.gamma_w_cokernel(w)
         if f2 != (1, 1, 1, 1, n2, n2, n2, n2):
             ok = False

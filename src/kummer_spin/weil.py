@@ -20,7 +20,6 @@ from .exact import (
     in_span,
     is_rational_square,
     primitive_vector,
-    rational_kernel,
     vector_gcd,
 )
 from .lattice import SearchExhausted, orthogonal_complement_basis
@@ -336,24 +335,23 @@ class DiscriminantCertificate:
 
 
 def _isotropic_plane(z):
-    """The rank-4 rational kernel of multiplication V -> S- by an isotropic
-    even-half class."""
-    basis = rational_kernel(multiplication_block(z, S_MINUS, V))
+    """The rank-4 kernel of multiplication V -> S- by an isotropic
+    even-half class, as primitive integer vectors."""
+    basis = multiplication_block(z, S_MINUS, V).kernel()
     if len(basis) != 4:
         raise SearchExhausted("isotropic class kernel is not 4-dimensional")
     return basis
 
 
 def _intersect(space_a, space_b):
-    """Basis of the intersection of two rational coordinate subspaces."""
-    rows = [list(v) for v in space_a] + [list(v) for v in space_b]
-    m = RatMatrix(rows)
-    rel = rational_kernel(m.transpose())
+    """RREF rows (Fractions) of the intersection of two integer-spanned spaces."""
+    rel = IntMatrix._wrap([*space_a, *space_b]).transpose().kernel()
     out = [_combine(space_a, r[:len(space_a)]) for r in rel]
     if not out:
         return []
-    reduced, _ = RatMatrix(out).rref()
-    return [tuple(r) for r in reduced.data if any(x != 0 for x in r)]
+    rows, pivots = IntMatrix._wrap(out).echelon()
+    return [tuple(Fraction(x, row[c]) for x in row)
+            for row, c in zip(rows, pivots)]
 
 
 def _orthogonal_partner(a, plane, theta_prime):

@@ -4,6 +4,7 @@ import argparse
 import hashlib
 import json
 import os
+import random
 import subprocess
 import sys
 
@@ -133,6 +134,24 @@ def test_cayley_with_h_report_bytes():
         "a7cfe96520f368351d1b3483894403d60d50fadb91c29d1596ae1b81ff876dd0")
 
 
+@pytest.mark.parametrize("args, digest", [
+    (("discriminant", "--n", "3"),
+     "f12b63efe6ddf7007047d31f360f723c883e814ec7b2b0e1676ecf076aea0aee"),
+    (("discriminant", "--n", "4"),
+     "8ea2f6165d0c4160607130c78961df96bc0c6a2afb6055a16081db0353ee02ce"),
+    (("discriminant", "--n", "5"),
+     "c954c37b77a956eb500b4790a32be5bb9a9c896d120307a920d729441608a428"),
+    (("weil", "--n", "3", "--h", "0,1,0,0,0,0,1,0"),
+     "91c7fab5e83f30e812eb0b1dd8273876504a91d6708f165d5e258f7863465aa4"),
+])
+def test_weil_side_report_bytes(args, digest):
+    # the certificate's basis is built from the exact plane intersections,
+    # so these bytes pin their scale as well as their span
+    result = run_cli("verify", *args, "--seed", "0")
+    assert result.returncode == 0
+    assert hashlib.sha256(result.stdout.encode()).hexdigest() == digest
+
+
 def test_verify_all_report_bytes_without_asserts():
     # -O strips assert statements; the report must not depend on them
     result = run_cli("verify", "all", "--n", "4", "--seed", "7",
@@ -213,3 +232,44 @@ def test_exhausted_search_exits_2(suite, n, message):
     assert result.stderr == "suite %s: bounded search exhausted: %s\n" \
         % (suite, message)
     assert result.stdout == ""
+
+
+class _Rejecting:
+    """A seeded rng whose randint draws on one range are all 0, a value
+    the rejection sampler drawing on that range never accepts."""
+
+    def __init__(self, lo, hi, real):
+        self.lo, self.hi, self.real = lo, hi, real
+
+    def randint(self, a, b):
+        return 0 if (a, b) == (self.lo, self.hi) else self.real.randint(a, b)
+
+    def __getattr__(self, name):
+        return getattr(self.real, name)
+
+
+@pytest.mark.parametrize("argv, patch, draw_range, message", [
+    (("verify", "clifford"), "suites", (-3, 3),
+     "square +-2 vectors: fewer than 50 in 20000 draws"),
+    (("verify", "gamma"), "suites", (-3, 3),
+     "primitive classes of square below -2: fewer than 3 in 20000 draws"),
+    (("verify", "detchi"), "random", (-3, 3),
+     "square +-2 classes: fewer than 50 in 20000 draws"),
+    (("verify", "cayley", "--with-h", "1,0,0,0,0,1"), "suites", (-2, 2),
+     "nonzero transvection vectors: fewer than 1 in 20000 draws"),
+])
+def test_rejection_sampler_cap_exits_2(monkeypatch, capsys, argv, patch,
+                                       draw_range, message):
+    real_random = random.Random
+    if patch == "suites":
+        monkeypatch.setattr(suites, "_rng", lambda seed, name: _Rejecting(
+            *draw_range, real_random("%d|%s" % (seed, name))))
+    else:
+        monkeypatch.setattr(random, "Random", lambda seed: _Rejecting(
+            *draw_range, real_random(seed)))
+    with pytest.raises(SystemExit) as exit_info:
+        cli.main(list(argv))
+    assert exit_info.value.code == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == "suite %s: bounded search exhausted: %s\n" % (argv[1], message)

@@ -11,6 +11,7 @@ from kummer_spin.exact import (
     integer_kernel,
     is_primitive,
     is_rational_square,
+    primitive_vector,
     rational_kernel,
     smith_normal_form,
 )
@@ -183,6 +184,93 @@ def test_integer_kernel_saturated():
     m = RatMatrix([[Fraction(basis[0][i]), Fraction(basis[1][i]), Fraction(v)]
                    for i, v in enumerate((1, -2, 1))])
     assert m.rank() == 2
+
+
+def fraction_rref(rows):
+    """Reference Gauss-Jordan elimination on Fractions: the nonzero rows
+    of the reduced row echelon form and the pivot columns."""
+    m = [[Fraction(x) for x in row] for row in rows]
+    pivots = []
+    for c in range(len(m[0])):
+        r = len(pivots)
+        pr = next((i for i in range(r, len(m)) if m[i][c]), None)
+        if pr is None:
+            continue
+        m[r], m[pr] = m[pr], m[r]
+        m[r] = [x / m[r][c] for x in m[r]]
+        for i in range(len(m)):
+            if i != r and m[i][c]:
+                f = m[i][c]
+                m[i] = [a - f * b for a, b in zip(m[i], m[r])]
+        pivots.append(c)
+    return [tuple(row) for row in m[:len(pivots)]], pivots
+
+
+def check_int_elimination(rows):
+    a = IntMatrix(rows)
+    reduced, pivots = fraction_rref(rows)
+    got, got_pivots = a.echelon()
+    assert got_pivots == pivots
+    assert all(type(x) is int for row in got for x in row)
+    assert [tuple(Fraction(x, row[c]) for x in row)
+            for row, c in zip(got, pivots)] == reduced
+    assert a.rank() == len(pivots)
+    kernel = a.kernel()
+    assert kernel == [primitive_vector(v) for v in rational_kernel(a)]
+    for v in kernel:
+        assert not any(a.apply(v))
+
+
+def test_int_elimination_matches_fraction_oracles():
+    rng = random.Random(1968)
+    cases = [[[0, 0, 0], [0, 0, 0]], [[0]], [[3, -6, 9, 0]], [[0, 0, 5]],
+             [[2], [0], [-4]], [[0], [0]], [[2, 1], [1, 1]],
+             [[1, 2, 3], [2, 4, 6], [1, 0, 1]],
+             [[int(i == j) for j in range(5)] for i in range(5)]]
+    for _ in range(80):
+        # products through k columns: singular whenever k < min(nr, nc)
+        nr, nc, k = rng.randint(1, 7), rng.randint(1, 7), rng.randint(1, 7)
+        left = [[rng.randint(-4, 4) for _ in range(k)] for _ in range(nr)]
+        right = [[rng.choice((0, 0, 1, -1, rng.randint(-9, 9)))
+                  for _ in range(nc)] for _ in range(k)]
+        cases.append([list(row) for row in naive_product(left, right)])
+    for rows in cases:
+        check_int_elimination(rows)
+
+
+def test_int_elimination_on_wedge4_of_a_stabilizer_generator():
+    from kummer_spin.cayley import wedge4_matrix
+    from kummer_spin.stabilizer import stabilizer_v_actions
+
+    g = stabilizer_v_actions(3, 14, random.Random(7))[-1]
+    diff = wedge4_matrix(g) - IntMatrix.identity(70)
+    check_int_elimination(diff.data)
+    assert 0 < diff.rank() < 70
+
+
+def test_int_elimination_matches_sympy():
+    pytest.importorskip("hypothesis")
+    sympy = pytest.importorskip("sympy")
+    from hypothesis import given, settings
+    from hypothesis import strategies as st
+
+    entries = st.one_of(st.just(0), st.integers(-6, 6))
+    shapes = st.tuples(st.integers(1, 6), st.integers(1, 6))
+    matrices = shapes.flatmap(lambda s: st.lists(
+        st.lists(entries, min_size=s[1], max_size=s[1]),
+        min_size=s[0], max_size=s[0]))
+
+    @settings(max_examples=200, deadline=None, derandomize=True, database=None)
+    @given(matrices)
+    def check(rows):
+        a = IntMatrix(rows)
+        oracle = sympy.Matrix(rows)
+        assert a.rank() == oracle.rank()
+        assert a.kernel() == [
+            primitive_vector([Fraction(int(x.p), int(x.q)) for x in v])
+            for v in oracle.nullspace()]
+
+    check()
 
 
 def test_is_rational_square():

@@ -46,6 +46,23 @@ def test_phi_f_closed_formulas():
             assert ok, name
 
 
+def test_phi_f_closed_formulas_reject_doubled_c1(monkeypatch):
+    # tensorization built from the class of the bundle with c1 doubled:
+    # the S+ and S- rows compare against c1 itself, so both must fail
+    original = LineBundleClass.chern_character
+    monkeypatch.setattr(
+        LineBundleClass, "chern_character",
+        lambda self: original(LineBundleClass(tuple(2 * c for c in self.c1))))
+    rng = random.Random(8)
+    for _ in range(3):
+        f = LineBundleClass(tuple(rng.randint(-2, 2) for _ in range(6)))
+        if not any(f.c1):
+            continue
+        rows = dict(verify_phi_f_action(f))
+        assert not rows["phi-F-on-S-plus"]
+        assert not rows["phi-F-on-S-minus"]
+
+
 def test_phi_f_group_law():
     f = LineBundleClass((2, -1, 0, 1, 0, 1))
     f_inverse = LineBundleClass(tuple(-c for c in f.c1))
