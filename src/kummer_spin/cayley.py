@@ -12,6 +12,7 @@ rank-8 module.
 
 from fractions import Fraction
 from itertools import combinations
+from math import factorial
 
 from .clifford import degree, merge_sign
 from .exact import IntMatrix, in_span, primitive_vector
@@ -109,19 +110,12 @@ class ExtRingElement:
             power = power * self
             if power.is_zero():
                 break
-            total = total + power.scale(Fraction(1, _factorial(k)))
+            total = total + power.scale(Fraction(1, factorial(k)))
             k += 1
         return total
 
     def __repr__(self):
         return "ExtRingElement(%r)" % (self.coeffs,)
-
-
-def _factorial(k):
-    out = 1
-    for i in range(2, k + 1):
-        out *= i
-    return out
 
 
 E = tuple(ExtRingElement.generator(i) for i in range(4))

@@ -397,7 +397,7 @@ def group_flags(x):
     for k in range(8):
         y = _mul_gen_right(x, k) @ xs
         w = _extract_vector(y)
-        if _embed_entries(w) != _nonzero_entries(y):
+        if clifford_embed(w) != y:
             raise NotInCliffordGroup("conjugation does not stabilize V")
         if any(a % c for a in w):
             raise ValueError("rho(x) not integral")
@@ -416,29 +416,6 @@ def _extract_vector(y):
         sgn = -1 if j & 1 else 1  # (-1)^j from contracting the top class
         b.append(sgn * y.data[ALL ^ (1 << j)][ALL])
     return tuple(a) + tuple(b)
-
-
-def _embed_entries(w):
-    entries = {}
-    for k, coef in enumerate(w):
-        if coef:
-            for r, c, s in GEN_ENTRIES[k]:
-                v = entries.get((r, c), 0) + coef * s
-                if v:
-                    entries[(r, c)] = v
-                else:
-                    entries.pop((r, c), None)
-    return entries
-
-
-def _nonzero_entries(y):
-    entries = {}
-    for i in range(16):
-        row = y.data[i]
-        for j in range(16):
-            if row[j]:
-                entries[(i, j)] = row[j]
-    return entries
 
 
 def spinor_to_json(s):

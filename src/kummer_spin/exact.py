@@ -538,13 +538,6 @@ def is_rational_square(q):
     return False, None
 
 
-def vector_gcd(vec):
-    g = 0
-    for x in vec:
-        g = gcd(g, x)
-    return g
-
-
 def clear_denominators(vec):
     """(ints, den): the integer vector den * vec, den the least common
     denominator of the rational vector."""
@@ -555,9 +548,9 @@ def clear_denominators(vec):
 def primitive_vector(vec):
     """The primitive integer vector on the ray of a rational vector."""
     ints, _ = clear_denominators(vec)
-    g = vector_gcd(ints)
+    g = gcd(*ints)
     return tuple(x // g for x in ints) if g else ints
 
 
 def is_primitive(vec):
-    return vector_gcd(vec) == 1
+    return gcd(*vec) == 1

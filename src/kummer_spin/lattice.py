@@ -8,8 +8,7 @@ computed from Smith normal form of the Gram matrix.
 from fractions import Fraction
 from itertools import islice
 
-from .exact import (IntMatrix, RatMatrix, integer_kernel, primitive_vector,
-                    smith_normal_form)
+from .exact import IntMatrix, integer_kernel, primitive_vector, smith_normal_form
 
 _SAMPLE_CAP = 20000  # draws per sample_accepted call
 
@@ -67,12 +66,12 @@ class IntLattice:
         """A fixed basis of a maximal positive-definite subspace, as
         primitive integral vectors.
 
-        Computed once per lattice by Gram diagonalization over Q, so that
-        the orientation character is deterministic.
+        Computed once per lattice by integer Gram-Schmidt, so that the
+        orientation character is deterministic.
         """
         if self._positive_basis is None:
             self._positive_basis = tuple(
-                primitive_vector(v) for v in _diagonalize(self) if self.square(v) > 0)
+                v for v in _diagonalize(self) if self.square(v) > 0)
         return self._positive_basis
 
     def __repr__(self):
@@ -137,10 +136,19 @@ class LatticeIsometry:
         return self.matrix.det()
 
     def inverse(self):
-        inv = self.matrix.to_rat().inverse()
-        if not inv.is_integral():
-            raise ValueError("inverse is not integral")
-        return LatticeIsometry(self.lattice, inv.to_int())
+        """M^-1 read off the echelon form of [M | I]: row r over its pivot."""
+        n = self.lattice.rank
+        eye = IntMatrix.identity(n).data
+        aug = IntMatrix._wrap(row + e for row, e in zip(self.matrix.data, eye))
+        rows, pivots = aug.echelon()
+        if pivots != list(range(n)):
+            raise ValueError("isometry is singular")
+        inv = []
+        for r, row in enumerate(rows):
+            if any(x % row[r] for x in row[n:]):
+                raise ValueError("inverse is not integral")
+            inv.append([x // row[r] for x in row[n:]])
+        return LatticeIsometry(self.lattice, IntMatrix._wrap(inv))
 
 
 def _coords(x, rank):
@@ -153,49 +161,32 @@ def _coords(x, rank):
 
 
 def _diagonalize(lattice):
-    """Rational basis vectors on which the form is diagonal and nonzero
-    (for a nondegenerate form), via symmetric Gram-Schmidt over Q."""
+    """Primitive integer vectors on which the form is diagonal and nonzero
+    (for a nondegenerate form), by Gram-Schmidt on integer vectors: the
+    pivot v is taken from the working basis, and every other b becomes
+    the primitive vector on (v,v) b - (b,v) v, so the rest stay
+    independent."""
     n = lattice.rank
-    basis = [tuple(Fraction(int(i == j)) for j in range(n)) for i in range(n)]
+    basis = [tuple(int(i == j) for j in range(n)) for i in range(n)]
     out = []
     while basis:
-        v = None
-        for cand in basis:
-            if lattice.square(cand) != 0:
-                v = cand
-                break
-        if v is None:
-            # all isotropic: some pair must pair nontrivially
-            found = False
-            for i in range(len(basis)):
-                for j in range(i + 1, len(basis)):
-                    if lattice.pairing(basis[i], basis[j]) != 0:
-                        v = tuple(a + b for a, b in zip(basis[i], basis[j]))
-                        found = True
-                        break
-                if found:
-                    break
-            if v is None:
+        k = next((i for i, b in enumerate(basis) if lattice.square(b)), None)
+        if k is None:
+            # all isotropic: b_i + b_j has square 2 (b_i, b_j) for some pair
+            pair = next(((i, j) for i in range(len(basis))
+                         for j in range(i + 1, len(basis))
+                         if lattice.pairing(basis[i], basis[j])), None)
+            if pair is None:
                 break  # degenerate remainder
+            k, j = pair
+            basis[k] = primitive_vector(tuple(a + b for a, b in zip(basis[k], basis[j])))
+        v = basis.pop(k)
         out.append(v)
-        qv = lattice.square(v)
-        new_basis = []
-        for b in basis:
-            coef = lattice.pairing(b, v) / qv
-            nb = tuple(x - coef * y for x, y in zip(b, v))
-            if any(x != 0 for x in nb):
-                new_basis.append(nb)
-        # drop one dependent vector: project and re-extract independent set
-        basis = _independent(new_basis)
+        vv = lattice.square(v)
+        for i, b in enumerate(basis):
+            bv = lattice.pairing(b, v)
+            basis[i] = primitive_vector(tuple(vv * x - bv * y for x, y in zip(b, v)))
     return out
-
-
-def _independent(vectors):
-    """A basis of the span of the given vectors (row-reduced)."""
-    if not vectors:
-        return []
-    reduced, _ = RatMatrix(vectors).rref()
-    return [tuple(r) for r in reduced.data if any(x != 0 for x in r)]
 
 
 def reflection(lattice, u):
@@ -293,7 +284,7 @@ def chi_character(lattice, g, disc=None):
     raise ValueError("isometry does not act by +-1 on the discriminant group")
 
 
-def ort_character(lattice, g, positive_basis=None):
+def ort_character(lattice, g):
     """Orientation character: sign of det of (project to P) o g restricted
     to a maximal positive-definite subspace P.  Independent of the choice
     of P's basis.
@@ -301,14 +292,7 @@ def ort_character(lattice, g, positive_basis=None):
     With B a basis of P in integral columns, that map has the matrix
     (B^T G B)^-1 B^T G M B, and det(B^T G B) > 0, so the sign is that of
     the integer det(B^T G M B)."""
-    if positive_basis is None:
-        basis = lattice.positive_basis()
-    else:
-        basis = [primitive_vector(v) for v in positive_basis]
-        gp = [[lattice.pairing(u, v) for v in basis] for u in basis]
-        for k in range(1, len(basis) + 1):
-            if IntMatrix([row[:k] for row in gp[:k]]).det() <= 0:
-                raise ValueError("positive_basis is not positive definite")
+    basis = lattice.positive_basis()
     if not basis:
         return 1
     images = [g.matrix.apply(v) for v in basis]

@@ -11,6 +11,7 @@ orientation-reversing elements.
 """
 
 import random
+from math import gcd
 
 from .clifford import (
     PAIRS,
@@ -18,7 +19,7 @@ from .clifford import (
     mukai_triple,
     splus_pairing,
 )
-from .exact import IntMatrix, is_primitive, smith_normal_form, vector_gcd
+from .exact import IntMatrix, is_primitive, smith_normal_form
 from .lattice import (
     IntLattice,
     LatticeIsometry,
@@ -249,8 +250,6 @@ class ModNMatrix:
         self.n = n
         self.data = tuple(tuple(x % n for x in row) for row in data)
         det = IntMatrix(self.data).det() % n
-        from math import gcd
-
         if gcd(det, n) != 1:
             raise ValueError("matrix is not invertible mod %d" % n)
 
@@ -266,11 +265,10 @@ class ModNMatrix:
         return "ModNMatrix(%d, %r)" % (self.n, [list(r) for r in self.data])
 
 
-def mod_n_rep(gen, n=None):
+def mod_n_rep(gen):
     """Reduce the rank-8 action mod n, check that the dual summand is
     invariant, and return the induced map on the quotient."""
-    if n is None:
-        n = gen.n
+    n = gen.n
     v = gen.v_matrix()
     if any(x % n for row in v.block(0, 4, 4, 4).data for x in row):
         raise ValueError("dual summand is not invariant mod %d "
@@ -289,7 +287,7 @@ def gamma_w_cokernel(w):
     if ww >= 0 or ww % 2 != 0:
         raise ValueError("class must have negative even square")
     n = -ww // 2
-    if vector_gcd(w) != 1:
+    if not is_primitive(w):
         raise ValueError("class must be primitive")
     mult = multiplication_operator(ax_element(s_plus=w))
     m_w = mult.block(S_MINUS, V, 8, 8)
@@ -325,11 +323,11 @@ def random_sl4(rng, length=3):
     return m
 
 
-def find_h2_with_square(target, rng, tries=10000, bound=3):
+def find_h2_with_square(target, rng):
     """A primitive degree-two class A with int(A^2) = target, by seeded
     bounded search."""
-    b = bound
-    for attempt in range(tries):
+    b = 3
+    for attempt in range(10000):
         a = tuple(rng.randint(-b, b) for _ in range(6))
         if any(a) and h2_square(a) == target and is_primitive(a):
             return a
@@ -423,9 +421,9 @@ def wh_stabilizer_v_actions(n, h6, count, rng):
     return out
 
 
-def _find_orthogonal_class(square, h6, rng, tries=20000, bound=3):
-    b = bound
-    for attempt in range(tries):
+def _find_orthogonal_class(square, h6, rng):
+    b = 3
+    for attempt in range(20000):
         a = tuple(rng.randint(-b, b) for _ in range(6))
         if any(a) and h2_square(a) == square and h2_wedge(a, h6) == 0 \
                 and is_primitive(a):

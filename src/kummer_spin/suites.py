@@ -17,7 +17,7 @@ from . import fm as fm_mod
 from . import stabilizer as stab
 from . import triality as tri
 from . import weil as weil_mod
-from .exact import IntMatrix, vector_gcd
+from .exact import IntMatrix, is_primitive
 from .lattice import (chi_character, det_character, discriminant_group,
                       ort_character, sample_accepted)
 
@@ -392,7 +392,7 @@ def suite_gamma(*, n=3, seed=0):
     ok = True
     for w in sample_accepted(
             lambda: tuple(rng.randint(-3, 3) for _ in range(8)),
-            lambda w: cl.splus_pairing(w, w) < -2 and vector_gcd(w) == 1, 3,
+            lambda w: cl.splus_pairing(w, w) < -2 and is_primitive(w), 3,
             "primitive classes of square below -2"):
         f2, n2 = stab.gamma_w_cokernel(w)
         if f2 != (1, 1, 1, 1, n2, n2, n2, n2):

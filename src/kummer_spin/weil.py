@@ -10,7 +10,7 @@ the Hermitian determinant is a rational square.
 """
 
 from fractions import Fraction
-from math import isqrt
+from math import gcd, isqrt
 
 from .clifford import SPLUS_GRAM, V_GRAM, splus_pairing, v_pairing
 from .exact import (
@@ -20,7 +20,6 @@ from .exact import (
     in_span,
     is_rational_square,
     primitive_vector,
-    vector_gcd,
 )
 from .lattice import SearchExhausted, orthogonal_complement_basis
 from .triality import (SPLUS_LATTICE as SPLUS, S_MINUS, V, m_tilde_pair,
@@ -157,9 +156,9 @@ def weil_multiplication_check(ws, a, b):
     return lhs == ws.theta_form.scale(norm)
 
 
-def hermitian_sesquilinear_check(ws, rng, samples=20):
-    """H(lambda x, y) = conj(lambda) H(x, y) on random vectors."""
-    for _ in range(samples):
+def hermitian_sesquilinear_check(ws, rng):
+    """H(lambda x, y) = conj(lambda) H(x, y) on 20 random vectors."""
+    for _ in range(20):
         x = tuple(rng.randint(-3, 3) for _ in range(8))
         y = tuple(rng.randint(-3, 3) for _ in range(8))
         a = rng.randint(-3, 3)
@@ -271,14 +270,14 @@ def find_orthogonal_square_vectors(constraints, squares, rng=None,
     return rec([])
 
 
-def random_weil_pair(rng, n_max=None, k_max=None, bound=2):
+def random_weil_pair(rng, n_max=None, k_max=None):
     """A seeded pair (w, h) of orthogonal primitive negative classes;
     SearchExhausted after 1000 drawn classes w."""
     for _ in range(1000):
-        w = tuple(rng.randint(-bound, bound) for _ in range(8))
+        w = tuple(rng.randint(-2, 2) for _ in range(8))
         if not any(w):
             continue
-        g = vector_gcd(w)
+        g = gcd(*w)
         w = tuple(x // g for x in w)
         ww = splus_pairing(w, w)
         if ww >= 0:
@@ -288,11 +287,11 @@ def random_weil_pair(rng, n_max=None, k_max=None, bound=2):
             continue
         basis = orthogonal_complement_basis(SPLUS, [w])
         for _ in range(200):
-            c = tuple(rng.randint(-bound, bound) for _ in range(len(basis)))
+            c = tuple(rng.randint(-2, 2) for _ in range(len(basis)))
             if not any(c):
                 continue
             h = _combine(basis, c)
-            g = vector_gcd(h)
+            g = gcd(*h)
             h = tuple(x // g for x in h)
             hh = splus_pairing(h, h)
             if hh >= 0:

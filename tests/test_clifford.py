@@ -213,6 +213,20 @@ def test_group_flags_rejects_non_group_elements():
         group_flags(IntMatrix(rows))
 
 
+def test_group_flags_rejects_conjugation_leaving_v():
+    # x = 2 + w with w the product of the six orthogonal vectors
+    # e_i +- e_i* (i < 3): x x* is a nonzero scalar, but w anticommutes
+    # with e_1, so x e_1 x^-1 is not a vector
+    w = IntMatrix.identity(16)
+    for i in range(3):
+        for s in (1, -1):
+            v = [0] * 8
+            v[i], v[4 + i] = 1, s
+            w = w @ clifford_embed(tuple(v))
+    with pytest.raises(NotInCliffordGroup, match="does not stabilize V"):
+        group_flags(IntMatrix.identity(16).scale(2) + w)
+
+
 def test_minus_rho_reproduces_reflections():
     vlat = v_lattice()
     rng = random.Random(29)

@@ -273,6 +273,91 @@ def test_int_elimination_matches_sympy():
     check()
 
 
+def fraction_det(rows):
+    """Reference determinant by Gaussian elimination on Fractions."""
+    m = [[Fraction(x) for x in row] for row in rows]
+    det = Fraction(1)
+    for c in range(len(m)):
+        pr = next((i for i in range(c, len(m)) if m[i][c]), None)
+        if pr is None:
+            return Fraction(0)
+        if pr != c:
+            m[c], m[pr] = m[pr], m[c]
+            det = -det
+        det *= m[c][c]
+        for i in range(c + 1, len(m)):
+            f = m[i][c] / m[c][c]
+            m[i] = [a - f * b for a, b in zip(m[i], m[c])]
+    return det
+
+
+def test_det_matches_fraction_elimination():
+    rng = random.Random(1849)
+    cases = [[[0]], [[-5]], [[0, 0], [0, 0]], [[1, 2], [2, 4]], [[0, 1], [1, 0]],
+             [[0, 0, 1], [0, 1, 0], [1, 0, 0]], [[0, 2, 1], [0, 3, 1], [4, 5, 6]]]
+    for _ in range(80):
+        # products through k columns: singular whenever k < n
+        n, k = rng.randint(1, 7), rng.randint(1, 7)
+        left = [[rng.randint(-4, 4) for _ in range(k)] for _ in range(n)]
+        right = [[rng.choice((0, 0, 1, -1, rng.randint(-9, 9)))
+                  for _ in range(n)] for _ in range(k)]
+        cases.append([list(row) for row in naive_product(left, right)])
+    for rows in cases:
+        det = IntMatrix(rows).det()
+        assert type(det) is int and det == fraction_det(rows)
+
+
+def test_det_and_snf_match_sympy():
+    pytest.importorskip("hypothesis")
+    sympy = pytest.importorskip("sympy")
+    from hypothesis import example, given, settings
+    from hypothesis import strategies as st
+    from sympy.matrices.normalforms import invariant_factors
+
+    entries = st.one_of(st.just(0), st.integers(-6, 6))
+
+    def matrices(nr, nc):
+        return st.lists(st.lists(entries, min_size=nc, max_size=nc),
+                        min_size=nr, max_size=nr)
+
+    def low_rank(nr, nc):
+        # a product through fewer columns than the smaller side is singular
+        return st.integers(1, max(1, min(nr, nc) - 1)).flatmap(
+            lambda k: st.tuples(matrices(nr, k), matrices(k, nc))).map(
+            lambda ab: [list(row) for row in naive_product(*ab)])
+
+    def shaped(nr, nc):
+        return st.one_of(matrices(nr, nc), low_rank(nr, nc))
+
+    sides = st.integers(1, 6)
+    squares = sides.flatmap(lambda n: shaped(n, n))
+    rectangles = st.tuples(sides, sides).flatmap(lambda s: shaped(*s))
+    run = settings(max_examples=150, deadline=None, derandomize=True, database=None)
+
+    @run
+    @given(squares)
+    @example([[0]])
+    @example([[0, 0, 0]] * 3)
+    @example([[1, 2], [2, 4]])
+    def check_det(rows):
+        det = IntMatrix(rows).det()
+        assert det == sympy.Matrix(rows).det() == fraction_det(rows)
+
+    @run
+    @given(rectangles)
+    @example([[0, 0], [0, 0]])
+    @example([[2, 4, -6]])
+    @example([[4], [-6], [0]])
+    @example([[1, 2], [2, 4], [3, 6]])
+    def check_snf(rows):
+        oracle = invariant_factors(sympy.Matrix(rows), domain=sympy.ZZ)
+        factors = smith_normal_form(IntMatrix(rows)).invariant_factors
+        assert factors == tuple(int(f) for f in oracle)
+
+    check_det()
+    check_snf()
+
+
 def test_is_rational_square():
     ok, w = is_rational_square(Fraction(9, 4))
     assert ok and w == Fraction(3, 2)

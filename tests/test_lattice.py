@@ -158,7 +158,7 @@ def test_ort_multiplicative_and_basis_independent():
             g = g @ reflection(lat, u)
         words.append(g)
     for g in words:
-        assert ort_character(lat, g) == ort_character(lat, g, positive_basis=alt)
+        assert ort_character(lat, g) == _rational_ort(lat, alt, g)
     for _ in range(20):
         a = rng.choice(words)
         b = rng.choice(words)
@@ -241,11 +241,65 @@ def test_ort_character_matches_rational_projection():
     assert signs == {1, -1}
 
 
-def test_ort_character_rejects_indefinite_positive_basis():
-    lat = hyperbolic(1)
-    ident = LatticeIsometry(lat, IntMatrix.identity(2))
-    with pytest.raises(ValueError):
-        ort_character(lat, ident, positive_basis=[(1, -1)])
+def test_diagonalize_gives_orthogonal_primitive_integer_vectors():
+    from math import gcd
+
+    from kummer_spin.lattice import _diagonalize
+    from kummer_spin.stabilizer import bbf_lattice
+    from kummer_spin.triality import SPLUS_LATTICE
+
+    # (lattice, positive inertia); U^k is all-isotropic on the unit
+    # vectors, so it takes the pair branch
+    cases = [(bbf_lattice(n), 3) for n in (2, 3, 4, 5)]
+    cases += [(SPLUS_LATTICE, 4), (IntLattice([[2, 1, 0], [1, -4, 0], [0, 0, 6]]), 2)]
+    cases += [(hyperbolic(k), k) for k in (1, 2, 3, 4)]
+    for lat, positive in cases:
+        basis = _diagonalize(lat)
+        assert len(basis) == lat.rank
+        assert IntMatrix(basis).det() != 0
+        assert all(type(x) is int for v in basis for x in v)
+        assert all(gcd(*v) == 1 for v in basis)
+        assert all(lat.square(v) != 0 for v in basis)
+        assert all(lat.pairing(u, v) == 0
+                   for i, u in enumerate(basis) for v in basis[i + 1:])
+        assert sum(lat.square(v) > 0 for v in basis) == positive
+        assert lat.positive_basis() == tuple(v for v in basis if lat.square(v) > 0)
+
+
+def test_diagonalize_stops_at_the_degenerate_remainder():
+    from kummer_spin.lattice import _diagonalize
+
+    assert _diagonalize(IntLattice([[0, 0], [0, 0]])) == []
+    assert _diagonalize(IntLattice([[2, 0], [0, 0]])) == [(1, 0)]
+    assert IntLattice([[0, 0], [0, -2]]).positive_basis() == ()
+
+
+def test_isometry_inverse_matches_rational_inverse():
+    from kummer_spin.exact import RatMatrix
+    from kummer_spin.stabilizer import bbf_lattice, sample_generators
+
+    rng = random.Random(1101)
+    isometries = [_random_isometry(lat, rng, 2) for lat in
+                  (hyperbolic(1), hyperbolic(4), bbf_lattice(3), bbf_lattice(5))
+                  for _ in range(10)]
+    isometries += [g.perp_action() for n in (3, 4) for g in sample_generators(n, 10, rng)]
+    for g in isometries:
+        inv = g.inverse()
+        expected = RatMatrix(g.matrix.data).inverse()
+        assert inv.matrix == IntMatrix(expected.data)
+        assert inv.lattice is g.lattice
+        assert (g @ inv).matrix.is_identity()
+
+
+def test_isometry_inverse_rejects_non_unimodular_matrices():
+    # the zero form is preserved by every matrix
+    zero = IntLattice([[0, 0], [0, 0]])
+    with pytest.raises(ValueError, match="not integral"):
+        LatticeIsometry(zero, [[2, 0], [0, 1]]).inverse()
+    with pytest.raises(ValueError, match="not integral"):
+        LatticeIsometry(zero, [[1, 1], [1, -1]]).inverse()
+    with pytest.raises(ValueError, match="singular"):
+        LatticeIsometry(zero, [[1, 2], [2, 4]]).inverse()
 
 
 def test_discriminant_lifts_match_inverse_gram():

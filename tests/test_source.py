@@ -18,18 +18,48 @@ def test_no_assert_statements_in_src():
     assert found == []
 
 
-def test_group_and_algebra_layers_are_integer_only():
-    # their inverses come from structural identities, not rational elimination
+# rational elimination and the conversions around it stay in exact.py;
+# weil.py keeps RatMatrix for values that are rational by nature (J as
+# num / den, the Kahler Gram)
+EXACT_ONLY = frozenset({"rref", "rational_kernel", "to_rat", "to_int", "solve",
+                        "is_integral"})
+RAT_MATRIX_HOMES = frozenset({"exact.py", "weil.py"})
+
+
+def _rational_uses(tree, module):
+    """Lines of tree that name what module may not: EXACT_ONLY outside
+    exact.py, RatMatrix outside RAT_MATRIX_HOMES."""
+    banned = set() if module == "exact.py" else set(EXACT_ONLY)
+    if module not in RAT_MATRIX_HOMES:
+        banned.add("RatMatrix")
+    for node in ast.walk(tree):
+        names = {getattr(node, "id", None), getattr(node, "attr", None)}
+        if isinstance(node, ast.ImportFrom):
+            names |= {alias.name for alias in node.names}
+        if names & banned:
+            yield node.lineno
+
+
+def test_rational_elimination_lives_in_exact():
+    # inverses, kernels and positive bases elsewhere come from integer
+    # elimination or structural identities
     found = []
-    for name in ("clifford.py", "triality.py", "stabilizer.py"):
-        path = SRC / name
-        for node in ast.walk(ast.parse(path.read_text(), str(path))):
-            names = {getattr(node, "id", None), getattr(node, "attr", None)}
-            if isinstance(node, ast.ImportFrom):
-                names |= {alias.name for alias in node.names}
-            if names & {"RatMatrix", "to_rat"}:
-                found.append("%s:%d" % (name, node.lineno))
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text(), str(path))
+        found += ["%s:%d" % (path.name, n) for n in _rational_uses(tree, path.name)]
     assert found == []
+
+
+def test_rational_guard_sees_rational_elimination():
+    for text in ("m.to_rat().inverse()", "RatMatrix(rows).rref()",
+                 "from .exact import RatMatrix", "from .exact import rational_kernel",
+                 "a.solve(b)", "inv.to_int()", "inv.is_integral()"):
+        assert set(_rational_uses(ast.parse(text), "lattice.py")) == {1}, text
+    assert list(_rational_uses(ast.parse("RatMatrix._wrap(rows)"), "weil.py")) == []
+    assert list(_rational_uses(ast.parse("m.to_rat().rref()"), "exact.py")) == []
+    for text in ("m.echelon()", "m.kernel()", "g.inverse()", "m.rank()"):
+        assert list(_rational_uses(ast.parse(text), "lattice.py")) == [], text
+    assert set(_rational_uses(ast.parse("m.to_rat()"), "weil.py")) == {1}
 
 
 def test_only_matrix_base_defines_matmul_and_apply():

@@ -132,11 +132,12 @@ def test_gamma_w_cokernel_other_primitive_classes():
     found = 0
     while found < 5:
         w = tuple(rng.randint(-3, 3) for _ in range(8))
+        from math import gcd
+
         from kummer_spin.clifford import splus_pairing
-        from kummer_spin.exact import vector_gcd
 
         ww = splus_pairing(w, w)
-        if ww >= -2 or vector_gcd(w) != 1:
+        if ww >= -2 or gcd(*w) != 1:
             continue
         found += 1
         n = -ww // 2
