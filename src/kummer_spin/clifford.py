@@ -9,10 +9,13 @@ operators; products of the 8 generator matrices over subsets give the 256
 monomial basis of C(V) = End(S).
 """
 
+from operator import add, sub
+
 from .exact import IntMatrix
 from .lattice import IntLattice
 
 ALL = 15  # full subset {1,2,3,4}
+_ZERO_ROW = (0,) * 16
 
 
 def degree(mask):
@@ -189,7 +192,7 @@ def _tables():
     mon = [IntMatrix.identity(16)]
     for m in range(1, 256):
         high = m.bit_length() - 1
-        mon.append(_mul_gen_right(mon[m ^ (1 << high)], high))
+        mon.append(_gen_product(mon[m ^ (1 << high)].data, high, mon[0].data))
     _MON = tuple(mon)
     sparse = []
     for m in range(256):
@@ -303,34 +306,20 @@ def star(x):
 
 
 def parity_of(x):
-    """'even', 'odd', or None according to the block structure on S+ / S-."""
-    even = True
-    odd = True
-    for i in range(16):
-        pi = degree(i) & 1
-        for j in range(16):
-            if x.data[i][j]:
-                if pi != degree(j) & 1:
-                    even = False
-                else:
-                    odd = False
-    if even and not odd:
+    """'even' or 'odd' as x preserves or swaps S+ and S- (alpha(x) = +-x;
+    the zero matrix counts as even), None otherwise."""
+    ax = alpha(x)
+    if ax == x:
         return "even"
-    if odd and not even:
+    if ax == x.scale(-1):
         return "odd"
-    if even and odd:
-        return "even"  # zero matrix; immaterial
     return None
 
 
 def _scalar_of(x):
     """c if x == c*I, else None."""
     c = x.data[0][0]
-    for i in range(16):
-        for j in range(16):
-            if x.data[i][j] != (c if i == j else 0):
-                return None
-    return c
+    return c if x == IntMatrix.diagonal((c,) * 16) else None
 
 
 class NotInCliffordGroup(ValueError):
@@ -361,20 +350,27 @@ class GroupFlags:
             raise ValueError("Pin element must lie in the Clifford group")
 
 
-def _mul_gen_right(x, k):
-    """x @ GEN_MATRICES[k], exploiting the generator's sparsity."""
-    n = x.rows
-    cols = [[0] * n for _ in range(16)]
-    for r, c, s in GEN_ENTRIES[k]:
-        xr = [row[r] for row in x.data]
-        col = cols[c]
-        if s == 1:
-            for i in range(n):
-                col[i] += xr[i]
-        else:
-            for i in range(n):
-                col[i] -= xr[i]
-    return IntMatrix._wrap(zip(*cols))
+def _gen_product(xd, k, zd):
+    """x e_k z from the rows of x and of the 16x16 z: row i is the sum of
+    s x[i][r] z[c] over the entries (r, c, s) of generator k."""
+    out = []
+    for xrow in xd:
+        acc = None
+        for r, c, s in GEN_ENTRIES[k]:
+            a = s * xrow[r]
+            if not a:
+                continue
+            zrow = zd[c]
+            if acc is None:
+                acc = zrow if a == 1 else [a * b for b in zrow]
+            elif a == 1:
+                acc = list(map(add, acc, zrow))
+            elif a == -1:
+                acc = list(map(sub, acc, zrow))
+            else:
+                acc = [p + a * b for p, b in zip(acc, zrow)]
+        out.append(_ZERO_ROW if acc is None else acc)
+    return IntMatrix._wrap(out)
 
 
 def group_flags(x):
@@ -394,8 +390,9 @@ def group_flags(x):
     norm = _scalar_of(x @ alpha(xs))  # tau(x) = alpha(star(x))
     par = parity_of(x)
     rho_cols = []
+    xd, xsd = x.data, xs.data
     for k in range(8):
-        y = _mul_gen_right(x, k) @ xs
+        y = _gen_product(xd, k, xsd)
         w = _extract_vector(y)
         if clifford_embed(w) != y:
             raise NotInCliffordGroup("conjugation does not stabilize V")
@@ -409,13 +406,11 @@ def group_flags(x):
 
 
 def _extract_vector(y):
-    """Read off w with m(w) == y from the characteristic columns."""
-    a = [y.data[1 << i][0] for i in range(4)]
-    b = []
-    for j in range(4):
-        sgn = -1 if j & 1 else 1  # (-1)^j from contracting the top class
-        b.append(sgn * y.data[ALL ^ (1 << j)][ALL])
-    return tuple(a) + tuple(b)
+    """Read off w with m(w) == y from the characteristic columns; the
+    sign (-1)^j comes from contracting the top class."""
+    d = y.data
+    return (tuple(d[1 << i][0] for i in range(4))
+            + tuple((-1) ** j * d[ALL ^ (1 << j)][ALL] for j in range(4)))
 
 
 def spinor_to_json(s):

@@ -238,20 +238,21 @@ def hat_c1_consistency(bundle):
 
 
 S_PLUS_ONE_ONE = mukai_triple(1, [0] * 6, 1)
+_PHI_P = transform_ax()
+_PHI_P_INV = _PHI_P.inverse()
+_M_S = m_tilde(S_PLUS_ONE_ONE)
+_R_S = reflection(SPLUS_LATTICE, S_PLUS_ONE_ONE).matrix
 
 
 def reflection_lift_identities(bundle1, bundle2):
     """The exact 24x24 identities tying the transform, tensorization, and
     the square +-2 multiplication elements; returns (name, ok) pairs."""
-    s = S_PLUS_ONE_ONE
-    phi_p = transform_ax()
-    phi_p_inv = phi_p.inverse()
+    s, phi_p, phi_p_inv, m_s = S_PLUS_ONE_ONE, _PHI_P, _PHI_P_INV, _M_S
     phi_f1 = phi_f_ax(bundle1)
     phi_f1_inv = phi_f1.inverse()
     phi_f2_inv = phi_f_ax(bundle2).inverse()
     phi_f1hat = phi_f_ax(bundle1.dual_surface_bundle())
     phi_f2hat = phi_f_ax(bundle2.dual_surface_bundle())
-    m_s = m_tilde(s)
     results = []
 
     # (a) the round-trip composite equals m~_s . m~_{phi_F(s)}
@@ -262,8 +263,8 @@ def reflection_lift_identities(bundle1, bundle2):
     results.append(("eq-product-of-two-reflections-via-FM", composite == rhs))
 
     # S+ restriction of (a) is the product of the two reflections
-    r_s, r_fs = (reflection(SPLUS_LATTICE, y).matrix for y in (s, fs))
-    ok = composite.matrix.block(S_PLUS, S_PLUS, 8, 8) == r_s @ r_fs
+    r_fs = reflection(SPLUS_LATTICE, fs).matrix
+    ok = composite.matrix.block(S_PLUS, S_PLUS, 8, 8) == _R_S @ r_fs
     results.append(("eq-product-acts-by-two-reflections-on-S-plus", ok))
 
     # (b) conjugating m~ by the transform / by tensorization

@@ -192,20 +192,16 @@ def _diagonalize(lattice):
 def reflection(lattice, u):
     """R_u(x) = x - 2 (x,u)/(u,u) u, for (u,u) = +-2 on an even lattice."""
     u = _coords(u, lattice.rank)
-    uu = lattice.square(u)
+    gu = lattice.gram.apply(u)
+    uu = sum(a * b for a, b in zip(u, gu))
     if uu not in (2, -2):
         raise ValueError("reflection needs (u,u) = +-2, got %d" % uu)
     if not lattice.is_even():
         raise ValueError("reflection formula requires an even lattice")
+    # R = I - u (2 Gu/(u,u))^T, as (e_j,u) = (Gu)_j; 2/(u,u) = +-1
+    coef = [2 * x // uu for x in gu]
     n = lattice.rank
-    cols = []
-    for j in range(n):
-        e = tuple(int(i == j) for i in range(n))
-        xu = lattice.pairing(e, u)
-        # 2 (e,u)/(u,u) = +- (e,u)
-        coef = 2 * xu // uu
-        cols.append(tuple(e[i] - coef * u[i] for i in range(n)))
-    mat = IntMatrix(list(zip(*cols)))
+    mat = IntMatrix([int(i == j) - u[i] * coef[j] for j in range(n)] for i in range(n))
     return LatticeIsometry(lattice, mat)
 
 

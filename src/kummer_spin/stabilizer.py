@@ -11,6 +11,7 @@ orientation-reversing elements.
 """
 
 import random
+from functools import cache
 from math import gcd
 
 from .clifford import (
@@ -83,10 +84,11 @@ def perp_basis(n):
     return basis
 
 
+@cache
 def bbf_lattice(n):
     """The rank-7 lattice of the orthogonal complement with the
     second-cohomology sign (positive part of rank 3): minus the ambient
-    even-half pairing."""
+    even-half pairing.  Cached: one instance and positive basis per n."""
     basis = perp_basis(n)
     gram = [[-splus_pairing(u, v) for v in basis] for u in basis]
     return IntLattice(gram, label="H2(n=%d)" % n)

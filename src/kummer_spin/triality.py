@@ -31,6 +31,8 @@ V, S_MINUS, S_PLUS = 0, 8, 16
 _S_PERM = SMINUS_MASKS + SPLUS_MASKS  # A_X spinor coordinate order: S- then S+
 
 AX_GRAM = IntMatrix.block_diagonal(V_GRAM, SMINUS_GRAM, SPLUS_GRAM)
+# AX_GRAM as a signed permutation: row j is g e_k for (k, g) = _GRAM_PERM[j]
+_GRAM_PERM = tuple(next((k, g) for k, g in enumerate(row) if g) for row in AX_GRAM.data)
 SPLUS_LATTICE = splus_lattice()  # one instance, one positive_basis cache
 
 
@@ -131,7 +133,8 @@ class AXAutomorphism:
         have H = G negated on V + S-.  M @ inverse == I is checked exactly;
         ValueError when it fails."""
         m = self.matrix
-        mtg = m.transpose() @ AX_GRAM
+        # M^T G = (G M)^T, and row j of G M is g times row k of M
+        mtg = IntMatrix._wrap(zip(*([g * x for x in m.data[k]] for k, g in _GRAM_PERM)))
         inv = mtg @ m @ mtg
         if not (m @ inv).is_identity():
             raise ValueError("matrix is not inverted by its Gram adjoint")

@@ -24,11 +24,11 @@ from kummer_spin.clifford import (
     splus_embed,
     splus_lattice,
     splus_pairing,
-    star,
     tau,
     tau_degree_sign,
     v_lattice,
     v_pairing,
+    wedge_matrix,
 )
 from kummer_spin import clifford as cl
 from kummer_spin.exact import IntMatrix
@@ -383,3 +383,138 @@ def test_group_flags_rejects_zero_or_non_scalar_norm():
     for x in (clifford_embed(E1), dense):
         with pytest.raises(NotInCliffordGroup, match="nonzero scalar"):
             group_flags(x)
+
+
+# --- unfused reference implementations for group_flags and parity_of -------
+
+def _ref_mul_gen_right(x, k):
+    """x @ GEN_MATRICES[k] by columns, as group_flags formed x e_k."""
+    n = x.rows
+    cols = [[0] * n for _ in range(16)]
+    for r, c, s in cl.GEN_ENTRIES[k]:
+        for i in range(n):
+            cols[c][i] += s * x.data[i][r]
+    return IntMatrix(list(zip(*cols)))
+
+
+def _ref_parity_of(x):
+    """Parity read off the block structure, entry by entry."""
+    even = odd = True
+    for i in range(16):
+        for j in range(16):
+            if x.data[i][j]:
+                if degree(i) & 1 != degree(j) & 1:
+                    even = False
+                else:
+                    odd = False
+    if even:
+        return "even"
+    return "odd" if odd else None
+
+
+def _ref_scalar_of(x):
+    c = x.data[0][0]
+    if any(x.data[i][j] != (c if i == j else 0)
+           for i in range(16) for j in range(16)):
+        return None
+    return c
+
+
+def _ref_extract_vector(y):
+    a = [y.data[1 << i][0] for i in range(4)]
+    b = [(-1 if j & 1 else 1) * y.data[ALL ^ (1 << j)][ALL] for j in range(4)]
+    return tuple(a) + tuple(b)
+
+
+def _ref_group_flags(x):
+    """group_flags with each conjugate formed as (x e_k) @ x*."""
+    xs = cl.star(x)
+    c = _ref_scalar_of(x @ xs)
+    if not c:
+        raise NotInCliffordGroup("x x* is not a nonzero scalar")
+    norm = _ref_scalar_of(x @ alpha(xs))
+    par = _ref_parity_of(x)
+    rho_cols = []
+    for k in range(8):
+        y = _ref_mul_gen_right(x, k) @ xs
+        w = _ref_extract_vector(y)
+        if clifford_embed(w) != y:
+            raise NotInCliffordGroup("conjugation does not stabilize V")
+        if any(a % c for a in w):
+            raise ValueError("rho(x) not integral")
+        rho_cols.append(tuple(a // c for a in w))
+    rho = IntMatrix(list(zip(*rho_cols)))
+    in_pin = c == 1
+    return cl.GroupFlags(True, in_pin, in_pin and par == "even", norm == 1,
+                         norm, c, par, rho)
+
+
+def _flags_or_error(fn, x):
+    try:
+        f = fn(x)
+    except ValueError as exc:
+        return type(exc), str(exc)
+    return tuple(getattr(f, name) for name in cl.GroupFlags.__slots__)
+
+
+def _group_flags_cases():
+    from kummer_spin.fm import LineBundleClass
+    from kummer_spin.stabilizer import _wedge_powers, random_sl4
+    from kummer_spin.triality import alpha_tilde_element
+
+    rng = random.Random(1818)
+    vectors = []
+    while len(vectors) < 50:
+        v = tuple(rng.randint(-3, 3) for _ in range(8))
+        if v_pairing(v, v) in (2, -2):
+            vectors.append(clifford_embed(v))
+    cases = list(vectors)
+    cases += [vectors[i] @ vectors[i + 1] for i in range(0, 20, 2)]
+    cases += [wedge_matrix(LineBundleClass(
+        [rng.randint(-3, 3) for _ in range(6)]).chern_character())
+        for _ in range(10)]
+    cases += [_wedge_powers(random_sl4(rng)) for _ in range(10)]
+    cases.append(alpha_tilde_element())
+    # outside the Clifford group, or with rho not integral
+    for x in cases[:10] + cases[60:70]:
+        rows = [list(r) for r in x.data]
+        rows[rng.randrange(16)][rng.randrange(16)] += 1
+        cases.append(IntMatrix(rows))
+    w = IntMatrix.identity(16)
+    for i in range(3):
+        for s in (1, -1):
+            v = [0] * 8
+            v[i], v[4 + i] = 1, s
+            w = w @ clifford_embed(tuple(v))
+    cases.append(IntMatrix.identity(16).scale(2) + w)  # does not stabilize V
+    cases += [IntMatrix.identity(16).scale(2), clifford_embed(E1),
+              clifford_embed((1, 0, 0, 0, 2, 0, 0, 0))]
+    return cases
+
+
+def test_group_flags_matches_unfused_products():
+    outcomes = set()
+    for x in _group_flags_cases():
+        got = _flags_or_error(group_flags, x)
+        assert got == _flags_or_error(_ref_group_flags, x)
+        outcomes.add(got[1] if len(got) == 2 else got[6])
+    # every branch is met: both parities, both raising messages, and
+    # the non-integral rho
+    assert {"even", "odd", "x x* is not a nonzero scalar",
+            "conjugation does not stabilize V",
+            "rho(x) not integral"} <= outcomes
+
+
+def test_parity_of_matches_block_loop():
+    rng = random.Random(77)
+    even = [IntMatrix.identity(16), GEN_MATRICES[0] @ GEN_MATRICES[5],
+            wedge_matrix(tuple(rng.randint(-2, 2) if degree(m) % 2 == 0 else 0
+                               for m in range(16)))]
+    odd = [GEN_MATRICES[k] for k in range(8)] \
+        + [clifford_embed(tuple(rng.randint(-2, 2) for _ in range(8)))]
+    mixed = [even[0] + odd[0], even[1] + odd[-1],
+             IntMatrix([[rng.randint(-1, 1) for _ in range(16)] for _ in range(16)])]
+    zero = IntMatrix([[0] * 16 for _ in range(16)])
+    for x, want in ([(x, "even") for x in even] + [(x, "odd") for x in odd]
+                    + [(x, None) for x in mixed] + [(zero, "even")]):
+        assert cl.parity_of(x) == _ref_parity_of(x) == want

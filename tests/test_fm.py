@@ -11,13 +11,10 @@ from kummer_spin.fm import (
     reflection_lift_identities,
     splus_of_ax,
     transform_ax,
-    transform_matrix,
-    varphi_matrix,
     verify_equivariance,
     verify_phi_f_action,
     verify_phi_p_identities,
 )
-from kummer_spin.triality import AX_GRAM
 
 
 def test_phi_f_sends_unit_to_chern_character():

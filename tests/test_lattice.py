@@ -320,3 +320,34 @@ def test_discriminant_lifts_match_inverse_gram():
                 e = tuple(Fraction(int(i == k)) for i in range(lat.rank))
                 expected.append(gram_inv.apply(left_inv.apply(e)))
         assert discriminant_group(lat).lifts == tuple(expected)
+
+
+def _pairing_reflection(lattice, u):
+    """Reference reflection matrix, built column by column with one
+    pairing per basis vector."""
+    n = lattice.rank
+    uu = lattice.square(u)
+    cols = []
+    for j in range(n):
+        e = tuple(int(i == j) for i in range(n))
+        coef = 2 * lattice.pairing(e, u) // uu
+        cols.append(tuple(e[i] - coef * u[i] for i in range(n)))
+    return IntMatrix(list(zip(*cols)))
+
+
+def test_reflection_matches_per_basis_pairing_formula():
+    from kummer_spin.clifford import splus_lattice, v_lattice
+    from kummer_spin.lattice import sample_accepted
+    from kummer_spin.stabilizer import bbf_lattice
+
+    rng = random.Random(1818)
+    lattices = [v_lattice(), splus_lattice(), hyperbolic(4)] \
+        + [bbf_lattice(n) for n in (3, 4, 5)]
+    signs = set()
+    for lat in lattices:
+        for u in sample_accepted(
+                lambda: tuple(rng.randint(-2, 2) for _ in range(lat.rank)),
+                lambda u: lat.square(u) in (2, -2), 20, "square +-2 vectors"):
+            signs.add(lat.square(u))
+            assert reflection(lat, u).matrix == _pairing_reflection(lat, u)
+    assert signs == {2, -2}

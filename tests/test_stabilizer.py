@@ -18,7 +18,6 @@ from kummer_spin.stabilizer import (
     minus_one_generator,
     mod_n_rep,
     pair_reflection_generator,
-    perp_basis,
     random_sl4,
     s_n,
     sample_generators,
@@ -262,3 +261,9 @@ def test_bivector_transvection_matches_rational_adjugate():
                               for i in range(4)])
         assert bivector_transvection(h6, v) == expected
     assert pfaffian_signs == {True, False}
+
+
+def test_bbf_lattice_built_once_per_n():
+    for n in (2, 3, 4, 5):
+        assert bbf_lattice(n) is bbf_lattice(n)
+    assert bbf_lattice(3) is not bbf_lattice(4)

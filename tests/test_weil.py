@@ -21,9 +21,7 @@ from kummer_spin.stabilizer import wh_stabilizer_v_actions, sl4_generator, rando
 from kummer_spin.triality import ax_element, multiplication_operator
 from kummer_spin.weil import (
     SPLUS,
-    ComplexStructureJ,
     SearchExhausted,
-    WeilStructure,
     anticommute_check,
     find_orthogonal_square_vectors,
     hermitian_and_discriminant,
