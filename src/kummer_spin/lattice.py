@@ -6,11 +6,8 @@ computed from Smith normal form of the Gram matrix.
 """
 
 from fractions import Fraction
-from itertools import islice
 
 from .exact import IntMatrix, integer_kernel, primitive_vector, smith_normal_form
-
-_SAMPLE_CAP = 20000  # draws per sample_accepted call
 
 
 class SearchExhausted(RuntimeError):
@@ -18,13 +15,21 @@ class SearchExhausted(RuntimeError):
     condition, not a failure of the underlying theory."""
 
 
-def sample_accepted(draw, accept, count, what):
-    """The first count values of draw() that accept takes, in draw order.
-    Raises SearchExhausted when _SAMPLE_CAP draws yield fewer."""
-    out = list(islice(filter(accept, (draw() for _ in range(_SAMPLE_CAP))), count))
-    if len(out) < count:
-        raise SearchExhausted("%s: fewer than %d in %d draws" % (what, count, _SAMPLE_CAP))
-    return out
+def sample_accepted(draw, accept, count, what, cap):
+    """The first count (at least one) values of draw(i), i < cap, that
+    accept takes, in draw order; a draw that raises SearchExhausted is
+    rejected.  Raises SearchExhausted when cap draws yield fewer."""
+    out = []
+    for i in range(cap):
+        try:
+            value = draw(i)
+        except SearchExhausted:
+            continue
+        if accept(value):
+            out.append(value)
+            if len(out) == count:
+                return out
+    raise SearchExhausted("%s: fewer than %d in %d draws" % (what, count, cap))
 
 
 class IntLattice:

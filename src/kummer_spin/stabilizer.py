@@ -24,7 +24,7 @@ from .exact import IntMatrix, is_primitive, smith_normal_form
 from .lattice import (
     IntLattice,
     LatticeIsometry,
-    SearchExhausted,
+    SearchExhausted,  # re-exported: the searches here raise it
     chi_character,
     det_character,
     discriminant_group,
@@ -325,17 +325,25 @@ def random_sl4(rng, length=3):
     return m
 
 
-def find_h2_with_square(target, rng):
-    """A primitive degree-two class A with int(A^2) = target, by seeded
-    bounded search."""
-    b = 3
-    for attempt in range(10000):
-        a = tuple(rng.randint(-b, b) for _ in range(6))
-        if any(a) and h2_square(a) == target and is_primitive(a):
-            return a
-        if attempt % 1000 == 999:
-            b += 1
-    raise SearchExhausted("no degree-two class of square %d found" % target)
+def find_h2_with_square(target, rng, orthogonal_to=None):
+    """A primitive degree-two class A with int(A^2) = target, wedging to
+    zero with orthogonal_to when given, by seeded bounded search: 10000
+    draws (20000 with orthogonal_to) from a coordinate box that widens by
+    one every tenth of them."""
+    cap = 10000 if orthogonal_to is None else 20000
+
+    def draw(i):
+        b = 3 + i // (cap // 10)
+        return tuple(rng.randint(-b, b) for _ in range(6))
+
+    def accept(a):
+        return any(a) and h2_square(a) == target and is_primitive(a) and (
+            orthogonal_to is None or h2_wedge(a, orthogonal_to) == 0)
+
+    (a,) = sample_accepted(draw, accept, 1, "%sdegree-two classes of square %d"
+                           % ("" if orthogonal_to is None else "orthogonal ",
+                              target), cap)
+    return a
 
 
 def sample_generators(n, count, rng):
@@ -409,30 +417,18 @@ def wh_stabilizer_v_actions(n, h6, count, rng):
     while len(out) < count:
         if len(out) % 3 != 2:
             (v,) = sample_accepted(
-                lambda: tuple(rng.randint(-2, 2) for _ in range(4)), any, 1,
-                "nonzero transvection vectors")
+                lambda _: tuple(rng.randint(-2, 2) for _ in range(4)), any, 1,
+                "nonzero transvection vectors", 20000)
             g = sl4_generator(bivector_transvection(h6, v), n)
         else:
-            a1 = _find_orthogonal_class(2 * n - 2, h6, rng)
-            a2 = _find_orthogonal_class(2 * n - 2, h6, rng)
+            a1 = find_h2_with_square(2 * n - 2, rng, orthogonal_to=h6)
+            a2 = find_h2_with_square(2 * n - 2, rng, orthogonal_to=h6)
             g = pair_reflection_generator(a1, a2, n)
         image = splus_block(g.ax.apply(ax_element(s_plus=hvec)))
         if tuple(image) != tuple(hvec):
             raise ValueError("generator moves the polarization")
         out.append(g.v_matrix())
     return out
-
-
-def _find_orthogonal_class(square, h6, rng):
-    b = 3
-    for attempt in range(20000):
-        a = tuple(rng.randint(-b, b) for _ in range(6))
-        if any(a) and h2_square(a) == square and h2_wedge(a, h6) == 0 \
-                and is_primitive(a):
-            return a
-        if attempt % 2000 == 1999:
-            b += 1
-    raise SearchExhausted("no orthogonal degree-two class of square %d" % square)
 
 
 def det_chi_report(n, sample_count, seed):
@@ -446,8 +442,9 @@ def det_chi_report(n, sample_count, seed):
     # raw reflections: det(r_u) = (u,u)/2, chi(r_u) = -(u,u)/2
     reflections_ok = True
     for coords in sample_accepted(
-            lambda: tuple(rng.randint(-3, 3) for _ in range(7)),
-            lambda c: lat.square(c) in (2, -2), 50, "square +-2 classes"):
+            lambda _: tuple(rng.randint(-3, 3) for _ in range(7)),
+            lambda c: lat.square(c) in (2, -2), 50, "square +-2 classes",
+            20000):
         uu = lat.square(coords)
         r = signed_reflection(lat, coords)
         if det_character(r) != uu // 2 \

@@ -172,8 +172,9 @@ def suite_clifford(*, seed=0):
     vlat = cl.v_lattice()
     ok = True
     for v in sample_accepted(
-            lambda: tuple(rng.randint(-3, 3) for _ in range(8)),
-            lambda v: cl.v_pairing(v, v) in (2, -2), 50, "square +-2 vectors"):
+            lambda _: tuple(rng.randint(-3, 3) for _ in range(8)),
+            lambda v: cl.v_pairing(v, v) in (2, -2), 50, "square +-2 vectors",
+            20000):
         try:
             flags = cl.group_flags(cl.clifford_embed(v))
         except cl.NotInCliffordGroup:
@@ -392,9 +393,9 @@ def suite_gamma(*, n=3, seed=0):
     rng = _rng(seed, "gamma")
     ok = True
     for w in sample_accepted(
-            lambda: tuple(rng.randint(-3, 3) for _ in range(8)),
+            lambda _: tuple(rng.randint(-3, 3) for _ in range(8)),
             lambda w: cl.splus_pairing(w, w) < -2 and is_primitive(w), 3,
-            "primitive classes of square below -2"):
+            "primitive classes of square below -2", 20000):
         f2, n2 = stab.gamma_w_cokernel(w)
         if f2 != (1, 1, 1, 1, n2, n2, n2, n2):
             ok = False
@@ -469,38 +470,28 @@ def suite_weil(*, n=3, seed=0, h=None):
     rep.add("hermitian_sesquilinear", "eq-Hermetian-form",
             weil_mod.hermitian_sesquilinear_check(ws, rng))
 
-    done = 0
-    tried = 0
-    ok = True
-    while done < 4 and tried < 4 * 20:
-        tried += 1
+    def kahler_triple(_):
         try:
-            w2, h2 = weil_mod.random_weil_pair(rng, n_max=6, k_max=6)
-            ws2 = weil_mod.weil_structure(w2, h2)
+            ws2 = weil_mod.weil_structure(
+                *weil_mod.random_weil_pair(rng, n_max=6, k_max=6))
             if ws2.d == 0:
-                continue
+                return None
             u1, u2 = weil_mod.find_orthogonal_square_vectors(
-                [w2, h2], (-2, -2), rng)
-            j = weil_mod.j_ell(u1, u2)
-            _g, _sign = weil_mod.kahler_metric(ws2, j)
-            done += 1
-        except weil_mod.SearchExhausted:
-            continue
+                [ws2.w, ws2.h], (-2, -2), rng)
+            weil_mod.kahler_metric(ws2, weil_mod.j_ell(u1, u2))
+            return True
         except ValueError:
-            ok = False
-            done += 1
-    rep.add("kahler_definite", "prop-Theta-h-is-a-Kahler-form",
-            ok and done == 4,
-            "%d admissible sampled triples" % done)
+            return False
+
+    oks = sample_accepted(kahler_triple, lambda ok: ok is not None, 4,
+                          "admissible (w, h, J) triples", 80)
+    rep.add("kahler_definite", "prop-Theta-h-is-a-Kahler-form", all(oks),
+            "%d admissible sampled triples" % len(oks))
 
     ok = True
     for _ in range(3):
-        try:
-            hh, hp, f = weil_mod.find_orthogonal_square_vectors(
-                [w], (-2, -2, -2), rng)
-        except weil_mod.SearchExhausted:
-            ok = False
-            break
+        hh, hp, f = weil_mod.find_orthogonal_square_vectors(
+            [w], (-2, -2, -2), rng)
         anti, same_metric = weil_mod.anticommute_check(w, hh, hp, f)
         ok = ok and anti and same_metric
     rep.add("anticommuting_periods", "prop-Theta-h-is-a-Kahler-form", ok,
@@ -522,27 +513,18 @@ def suite_weil(*, n=3, seed=0, h=None):
 def suite_discriminant(*, n=3, seed=0):
     rep = SuiteReport("discriminant", seed)
     rng = _rng(seed, "discriminant")
-    done = 0
-    tried = 0
-    ok = True
-    details = []
-    while done < 3 and tried < 3 * 30:
-        tried += 1
-        try:
-            w, h = weil_mod.random_weil_pair(rng, n_max=6, k_max=6)
-            ws = weil_mod.weil_structure(w, h)
-            if ws.d == 0:
-                continue
-            cert = weil_mod.hermitian_and_discriminant(ws, rng)
-        except weil_mod.SearchExhausted:
-            continue
-        done += 1
-        if not all(cert.checks.values()):
-            ok = False
-        details.append("d=%d detPsi=%s" % (ws.d, cert.det_psi))
+
+    def certificate(_):
+        ws = weil_mod.weil_structure(
+            *weil_mod.random_weil_pair(rng, n_max=6, k_max=6))
+        return weil_mod.hermitian_and_discriminant(ws, rng) if ws.d else None
+
+    certs = sample_accepted(certificate, lambda c: c is not None, 3,
+                            "trivial-discriminant certificates", 90)
     rep.add("constructive_basis", "lemma-trivial-discriminant",
-            ok and done == 3,
-            "%d certificates: %s" % (done, "; ".join(details)))
+            all(all(c.checks.values()) for c in certs),
+            "%d certificates: %s" % (len(certs), "; ".join(
+                "d=%d detPsi=%s" % (c.ws.d, c.det_psi) for c in certs)))
     wsn = weil_mod.weil_structure(stab.s_n(n),
                                   cl.mukai_triple(0, (1, 0, 0, 0, 0, 1), 0))
     cert = weil_mod.hermitian_and_discriminant(wsn, rng)

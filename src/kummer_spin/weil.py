@@ -21,7 +21,8 @@ from .exact import (
     is_rational_square,
     primitive_vector,
 )
-from .lattice import SearchExhausted, orthogonal_complement_basis
+from .lattice import (SearchExhausted, orthogonal_complement_basis,
+                      sample_accepted)
 from .triality import (SPLUS_LATTICE as SPLUS, S_MINUS, V, m_tilde_pair,
                        multiplication_block)
 
@@ -270,37 +271,32 @@ def find_orthogonal_square_vectors(constraints, squares, rng=None,
     return rec([])
 
 
+def _negative_class(v, bound):
+    """The primitive part of a nonzero v when its square vv is negative
+    with -vv // 2 <= bound (no limit when bound is None); else None."""
+    if not any(v):
+        return None
+    g = gcd(*v)
+    v = tuple(x // g for x in v)
+    vv = splus_pairing(v, v)
+    return v if vv < 0 and (bound is None or -vv // 2 <= bound) else None
+
+
 def random_weil_pair(rng, n_max=None, k_max=None):
-    """A seeded pair (w, h) of orthogonal primitive negative classes;
-    SearchExhausted after 1000 drawn classes w."""
-    for _ in range(1000):
-        w = tuple(rng.randint(-2, 2) for _ in range(8))
-        if not any(w):
-            continue
-        g = gcd(*w)
-        w = tuple(x // g for x in w)
-        ww = splus_pairing(w, w)
-        if ww >= 0:
-            continue
-        n = -ww // 2
-        if n_max is not None and n > n_max:
-            continue
+    """A seeded pair (w, h) of orthogonal primitive negative classes:
+    1000 drawn classes w, then 200 drawn h orthogonal to each."""
+    def draw_pair(_):
+        w = _negative_class(tuple(rng.randint(-2, 2) for _ in range(8)), n_max)
+        if w is None:
+            return None
         basis = orthogonal_complement_basis(SPLUS, [w])
-        for _ in range(200):
-            c = tuple(rng.randint(-2, 2) for _ in range(len(basis)))
-            if not any(c):
-                continue
-            h = _combine(basis, c)
-            g = gcd(*h)
-            h = tuple(x // g for x in h)
-            hh = splus_pairing(h, h)
-            if hh >= 0:
-                continue
-            k = -hh // 2
-            if k_max is not None and k > k_max:
-                continue
-            return w, h
-    raise SearchExhausted("no admissible pair in 1000 draws")
+        (h,) = sample_accepted(lambda _: _negative_class(_combine(
+            basis, [rng.randint(-2, 2) for _ in basis]), k_max),
+            bool, 1, "negative classes orthogonal to w", 200)
+        return w, h
+
+    return sample_accepted(draw_pair, bool, 1, "admissible (w, h) pairs",
+                           1000)[0]
 
 
 # --- the trivial-discriminant certificate ------------------------------------
@@ -444,18 +440,14 @@ def _pick_pair(plane_a, plane_b, ws):
     """a in the first plane, b in the second with (a,b) != 0 and
     (a, theta'(b)) = 0."""
     p, q = plane_a
-    candidates = [p, q, tuple(x + y for x, y in zip(p, q)),
-                  tuple(x - y for x, y in zip(p, q)),
-                  tuple(x + 2 * y for x, y in zip(p, q))]
-    for cand in candidates:
-        a = primitive_vector(cand)
-        try:
-            b = _orthogonal_partner(a, plane_b, ws.theta_prime)
-        except SearchExhausted:
-            continue
-        if v_pairing(a, b) != 0:
-            return a, b
-    raise SearchExhausted("no nondegenerate pair in the plane product")
+
+    def draw(i):
+        s, t = ((1, 0), (0, 1), (1, 1), (1, -1), (1, 2))[i]
+        a = primitive_vector(tuple(s * x + t * y for x, y in zip(p, q)))
+        return a, _orthogonal_partner(a, plane_b, ws.theta_prime)
+
+    return sample_accepted(draw, lambda ab: v_pairing(*ab) != 0, 1,
+                           "nondegenerate pairs in the plane product", 5)[0]
 
 
 def spin_wh_commutant_check(v_actions, ws):

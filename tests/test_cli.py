@@ -10,7 +10,7 @@ import sys
 
 import pytest
 
-from kummer_spin import cli, suites
+from kummer_spin import cli, suites, weil
 
 PKG_ROOT = os.path.join(os.path.dirname(__file__), os.pardir, "src")
 
@@ -219,10 +219,13 @@ def test_nonpositive_samples_exit_2(args):
 
 
 @pytest.mark.parametrize("suite, n, message", [
-    ("weil", "60", "no orthogonal degree-two class of square 118"),
-    ("modn", "250", "no degree-two class of square 498 found"),
-    ("stabilizer", "250", "no degree-two class of square 498 found"),
-])
+    ("weil", "60", "orthogonal degree-two classes of square 118: "
+     "fewer than 1 in 20000 draws"),
+    ("modn", "250", "degree-two classes of square 498: "
+     "fewer than 1 in 10000 draws"),
+    ("stabilizer", "250", "degree-two classes of square 498: "
+     "fewer than 1 in 10000 draws"),
+], ids=["weil-60", "modn-250", "stabilizer-250"])
 def test_exhausted_search_exits_2(suite, n, message):
     # a class parameter too large for the bounded searches is a usage
     # error: one stderr line, no report, no FAIL rows
@@ -273,3 +276,45 @@ def test_rejection_sampler_cap_exits_2(monkeypatch, capsys, argv, patch,
     out, err = capsys.readouterr()
     assert out == ""
     assert err == "suite %s: bounded search exhausted: %s\n" % (argv[1], message)
+
+
+def _run_out(*args, **kwargs):
+    raise weil.SearchExhausted("patched to run out")
+
+
+@pytest.mark.parametrize("argv, patched, message", [
+    (("verify", "weil"), "find_orthogonal_square_vectors",
+     "admissible (w, h, J) triples: fewer than 4 in 80 draws"),
+    (("verify", "discriminant"), "hermitian_and_discriminant",
+     "trivial-discriminant certificates: fewer than 3 in 90 draws"),
+], ids=["weil", "discriminant"])
+def test_weil_sampling_run_out_exits_2(monkeypatch, capsys, argv, patched,
+                                       message):
+    # a weil or discriminant search that runs out is no FAIL row: the run
+    # stops with one stderr line, like every other bounded search
+    monkeypatch.setattr(weil, patched, _run_out)
+    with pytest.raises(SystemExit) as exit_info:
+        cli.main(list(argv))
+    assert exit_info.value.code == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == "suite %s: bounded search exhausted: %s\n" % (argv[1], message)
+
+
+def test_kahler_failure_is_a_fail_row(monkeypatch, capsys):
+    # a Kahler form that is not definite is an accepted sample that fails,
+    # not a rejected draw; the first call is kahler_definite's first sample
+    real, calls = weil.kahler_metric, []
+
+    def first_indefinite(ws, j):
+        calls.append(ws)
+        if len(calls) == 1:
+            raise ValueError("indefinite")
+        return real(ws, j)
+
+    monkeypatch.setattr(weil, "kahler_metric", first_indefinite)
+    assert cli.main(["verify", "weil"]) == 1
+    out, _ = capsys.readouterr()
+    assert "[FAIL] weil:kahler_definite (prop-Theta-h-is-a-Kahler-form) " \
+        "-- 4 admissible sampled triples\n" in out
+    assert out.count("[FAIL]") == 1

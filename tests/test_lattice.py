@@ -346,8 +346,9 @@ def test_reflection_matches_per_basis_pairing_formula():
     signs = set()
     for lat in lattices:
         for u in sample_accepted(
-                lambda: tuple(rng.randint(-2, 2) for _ in range(lat.rank)),
-                lambda u: lat.square(u) in (2, -2), 20, "square +-2 vectors"):
+                lambda _: tuple(rng.randint(-2, 2) for _ in range(lat.rank)),
+                lambda u: lat.square(u) in (2, -2), 20, "square +-2 vectors",
+                20000):
             signs.add(lat.square(u))
             assert reflection(lat, u).matrix == _pairing_reflection(lat, u)
     assert signs == {2, -2}

@@ -62,6 +62,50 @@ def test_rational_guard_sees_rational_elimination():
     assert set(_rational_uses(ast.parse("m.to_rat()"), "weil.py")) == {1}
 
 
+# a bounded search that runs out ends the run with exit 2: only the
+# sampler (a rejected draw), the backtracking (a dead branch) and the CLI
+# catch SearchExhausted, or a base class of it
+EXHAUSTED_CATCHERS = frozenset({("lattice.py", "sample_accepted"),
+                                ("weil.py", "find_orthogonal_square_vectors"),
+                                ("cli.py", "main")})
+CATCHES_EXHAUSTED = frozenset({"SearchExhausted", "RuntimeError", "Exception",
+                               "BaseException"})
+
+
+def _exhausted_catches(tree):
+    """(top-level function, line) of each except clause of tree that
+    catches SearchExhausted."""
+    for top in tree.body:
+        for node in ast.walk(top):
+            if isinstance(node, ast.ExceptHandler):
+                names = {getattr(n, "id", None) or getattr(n, "attr", None)
+                         for n in ast.walk(node.type)} if node.type else {"Exception"}
+                if names & CATCHES_EXHAUSTED:
+                    yield getattr(top, "name", None), node.lineno
+
+
+def test_search_exhausted_is_caught_only_where_it_ends():
+    found = []
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text(), str(path))
+        found += [(path.name, owner, line)
+                  for owner, line in _exhausted_catches(tree)]
+    assert [f for f in found if f[:2] not in EXHAUSTED_CATCHERS] == []
+    assert {f[:2] for f in found} == EXHAUSTED_CATCHERS
+
+
+def test_exhausted_guard_sees_a_catch():
+    body = "def suite_weil():\n    try:\n        pass\n    %s\n        pass\n"
+    for clause in ("except weil_mod.SearchExhausted:",
+                   "except SearchExhausted as exc:",
+                   "except (ValueError, lattice.SearchExhausted):",
+                   "except RuntimeError:", "except Exception:", "except:"):
+        assert list(_exhausted_catches(ast.parse(body % clause))) \
+            == [("suite_weil", 4)], clause
+    for clause in ("except ValueError:", "except cl.NotInCliffordGroup:"):
+        assert list(_exhausted_catches(ast.parse(body % clause))) == [], clause
+
+
 def test_only_matrix_base_defines_matmul_and_apply():
     # the benchmark's tracer wraps _Matrix.__matmul__ and _Matrix.apply; an
     # override or a second kernel in exact.py would escape its counts

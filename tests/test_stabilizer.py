@@ -4,8 +4,9 @@ import random
 
 import pytest
 
-from kummer_spin.exact import IntMatrix
-from kummer_spin.lattice import chi_character, det_character, discriminant_group
+from kummer_spin.exact import IntMatrix, is_primitive
+from kummer_spin.lattice import (SearchExhausted, chi_character, det_character,
+                                 discriminant_group)
 from kummer_spin.stabilizer import (
     ELEMENTARY_SL4,
     StabilizerGenerator,
@@ -15,6 +16,7 @@ from kummer_spin.stabilizer import (
     find_h2_with_square,
     gamma_w_cokernel,
     h2_square,
+    h2_wedge,
     minus_one_generator,
     mod_n_rep,
     pair_reflection_generator,
@@ -201,6 +203,69 @@ def test_find_h2_with_square_deterministic():
     a2 = find_h2_with_square(6, rng2)
     assert a1 == a2
     assert h2_square(a1) == 6
+
+
+def _loop_find_h2_with_square(target, rng):
+    # the hand-written loop that find_h2_with_square replaced
+    b = 3
+    for attempt in range(10000):
+        a = tuple(rng.randint(-b, b) for _ in range(6))
+        if any(a) and h2_square(a) == target and is_primitive(a):
+            return a
+        if attempt % 1000 == 999:
+            b += 1
+    raise SearchExhausted("no degree-two class of square %d found" % target)
+
+
+def _loop_find_orthogonal_class(square, h6, rng):
+    # the hand-written loop that find_h2_with_square(orthogonal_to=h6) replaced
+    b = 3
+    for attempt in range(20000):
+        a = tuple(rng.randint(-b, b) for _ in range(6))
+        if any(a) and h2_square(a) == square and h2_wedge(a, h6) == 0 \
+                and is_primitive(a):
+            return a
+        if attempt % 2000 == 1999:
+            b += 1
+    raise SearchExhausted("no orthogonal degree-two class of square %d" % square)
+
+
+def _seeded_outcome(search, seed):
+    """The value of a search on Random(seed), or None when it runs out,
+    with the generator's state afterwards."""
+    rng = random.Random(seed)
+    try:
+        value = search(rng)
+    except SearchExhausted:
+        value = None
+    return value, rng.getstate()
+
+
+def test_find_h2_with_square_draws_as_the_loops_did():
+    # squares 2n - 2 for n = 2..6, some that need a widened box (58 plain,
+    # 38, 58 and 118 orthogonal) and two that run out (498 both ways)
+    plain = [(2 * n - 2, range(4)) for n in range(2, 7)] \
+        + [(58, range(3)), (498, range(1))]
+    orthogonal = [(2 * n - 2, h6, range(3)) for n in range(2, 7)
+                  for h6 in ((1, 0, 0, 0, 0, 1), (0, 1, 0, 0, 1, 0))] \
+        + [(38, (0, 1, 0, 0, 1, 0), range(2))] \
+        + [(t, (1, 0, 0, 0, 0, 1), range(1)) for t in (58, 118, 498)]
+    found = []
+    for target, seeds in plain:
+        for seed in seeds:
+            old = _seeded_outcome(
+                lambda rng: _loop_find_h2_with_square(target, rng), seed)
+            assert _seeded_outcome(
+                lambda rng: find_h2_with_square(target, rng), seed) == old
+            found.append(old[0])
+    for target, h6, seeds in orthogonal:
+        for seed in seeds:
+            old = _seeded_outcome(
+                lambda rng: _loop_find_orthogonal_class(target, h6, rng), seed)
+            assert _seeded_outcome(lambda rng: find_h2_with_square(
+                target, rng, orthogonal_to=h6), seed) == old
+            found.append(old[0])
+    assert found.count(None) == 2
 
 
 def test_perp_discriminant_group_is_cyclic():

@@ -4,18 +4,22 @@ and the trivial-discriminant certificate."""
 import random
 from fractions import Fraction
 from itertools import product
+from math import gcd
 from types import SimpleNamespace
 
 import pytest
 
+from kummer_spin import weil as weil_mod
 from kummer_spin.clifford import (
+    V_GRAM,
     clifford_embed,
     mukai_triple,
     SMINUS_MASKS,
     pairing_s,
     splus_pairing,
+    v_pairing,
 )
-from kummer_spin.exact import IntMatrix, RatMatrix
+from kummer_spin.exact import IntMatrix, RatMatrix, primitive_vector
 from kummer_spin.lattice import orthogonal_complement_basis
 from kummer_spin.stabilizer import wh_stabilizer_v_actions, sl4_generator, random_sl4
 from kummer_spin.triality import ax_element, multiplication_operator
@@ -262,6 +266,132 @@ def test_random_weil_pair_is_bounded():
     # no primitive negative class has n = -w^2/2 <= 0
     with pytest.raises(SearchExhausted):
         random_weil_pair(random.Random(0), n_max=0)
+
+
+def _loop_random_weil_pair(rng, n_max=None, k_max=None):
+    # the nested hand-written loops that random_weil_pair replaced
+    for _ in range(1000):
+        w = tuple(rng.randint(-2, 2) for _ in range(8))
+        if not any(w):
+            continue
+        g = gcd(*w)
+        w = tuple(x // g for x in w)
+        ww = splus_pairing(w, w)
+        if ww >= 0:
+            continue
+        n = -ww // 2
+        if n_max is not None and n > n_max:
+            continue
+        basis = orthogonal_complement_basis(SPLUS, [w])
+        for _ in range(200):
+            c = tuple(rng.randint(-2, 2) for _ in range(len(basis)))
+            if not any(c):
+                continue
+            h = tuple(sum(ci * b[i] for ci, b in zip(c, basis)) for i in range(8))
+            g = gcd(*h)
+            h = tuple(x // g for x in h)
+            hh = splus_pairing(h, h)
+            if hh >= 0:
+                continue
+            k = -hh // 2
+            if k_max is not None and k > k_max:
+                continue
+            return w, h
+    raise SearchExhausted("no admissible pair in 1000 draws")
+
+
+def _loop_pick_pair(plane_a, plane_b, ws):
+    # the hand-written loop that weil._pick_pair replaced
+    p, q = plane_a
+    candidates = [p, q, tuple(x + y for x, y in zip(p, q)),
+                  tuple(x - y for x, y in zip(p, q)),
+                  tuple(x + 2 * y for x, y in zip(p, q))]
+    for cand in candidates:
+        a = primitive_vector(cand)
+        try:
+            b = weil_mod._orthogonal_partner(a, plane_b, ws.theta_prime)
+        except SearchExhausted:
+            continue
+        if v_pairing(a, b) != 0:
+            return a, b
+    raise SearchExhausted("no nondegenerate pair in the plane product")
+
+
+def _outcome(search, *args):
+    """The value of a search, or None when it runs out."""
+    try:
+        return search(*args)
+    except SearchExhausted:
+        return None
+
+
+def test_random_weil_pair_draws_as_the_loops_did():
+    # n_max = 0 runs out on w; n_max = 1, k_max = 0 runs out on every
+    # inner search for h, which counts as a rejected w
+    for n_max, k_max, seeds in ((None, None, range(12)), (6, 6, range(12)),
+                                (None, 6, range(4)), (6, None, range(4)),
+                                (0, None, range(2)), (1, 0, range(1))):
+        for seed in seeds:
+            rng_old, rng_new = random.Random(seed), random.Random(seed)
+            old = _outcome(_loop_random_weil_pair, rng_old, n_max, k_max)
+            assert _outcome(random_weil_pair, rng_new, n_max, k_max) == old
+            assert rng_new.getstate() == rng_old.getstate()
+            assert (old is None) == (n_max in (0, 1))
+
+
+def test_pick_pair_matches_the_loop(monkeypatch):
+    calls = []
+    pick = weil_mod._pick_pair
+
+    def recording(plane_a, plane_b, ws):
+        calls.append((plane_a, plane_b, ws))
+        return pick(plane_a, plane_b, ws)
+
+    monkeypatch.setattr(weil_mod, "_pick_pair", recording)
+    for seed in range(3):
+        rng = random.Random(seed)
+        hermitian_and_discriminant(
+            weil_structure(*random_weil_pair(rng, n_max=6, k_max=6)), rng)
+    # random planes; planes whose every partner is zero (plane_a lies in
+    # the V-orthogonal of theta'(plane_b)); and planes with one such vector
+    rng = random.Random(7)
+    ws = calls[0][2]
+    for _ in range(20):
+        plane_b = [tuple(rng.randint(-3, 3) for _ in range(8)) for _ in range(2)]
+        plane_a = [tuple(rng.randint(-3, 3) for _ in range(8)) for _ in range(2)]
+        rows = [V_GRAM.apply(ws.theta_prime.apply(v)) for v in plane_b]
+        no_partner = IntMatrix(rows).kernel()
+        calls += [(plane_a, plane_b, ws), (no_partner[:2], plane_b, ws),
+                  ((no_partner[0], plane_a[0]), plane_b, ws)]
+    outcomes = [_outcome(_loop_pick_pair, *call) for call in calls]
+    assert [_outcome(pick, *call) for call in calls] == outcomes
+    assert outcomes.count(None) == 20
+
+
+def test_suite_weil_builds_from_s_n(monkeypatch):
+    # the report shows no n (its bytes are alike for n = 3, 4, 5), so
+    # check on the calls that suite_weil(n=k) works from s_n(k)
+    from kummer_spin import stabilizer, suites
+
+    calls = []
+
+    def recorder(name, fn):
+        def wrapped(*args):
+            calls.append((name, args))
+            return fn(*args)
+        return wrapped
+
+    monkeypatch.setattr(weil_mod, "weil_structure",
+                        recorder("weil_structure", weil_mod.weil_structure))
+    monkeypatch.setattr(stabilizer, "wh_stabilizer_v_actions", recorder(
+        "wh_stabilizer_v_actions", stabilizer.wh_stabilizer_v_actions))
+    for k in (3, 4, 5):
+        calls.clear()
+        assert suites.suite_weil(n=k).ok
+        assert calls[0] == ("weil_structure", (stabilizer.s_n(k), H_CANON))
+        (actions,) = [args for name, args in calls
+                      if name == "wh_stabilizer_v_actions"]
+        assert actions[:3] == (k, H_CANON[1:7], 5)
 
 
 def _cube_walk(basis, max_bound):
