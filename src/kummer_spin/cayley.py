@@ -2,12 +2,12 @@
 and the invariant degree-four class of the stabilizer.
 
 The graded ring is the exterior algebra over Q on eight odd generators
-(four from each factor); classes of K-theory objects are recorded by rank
-plus total Chern character.  The distinguished degree-four class is
-matched against the second Chern class of the endomorphism bundle of the
-transform of a dual ideal-sheaf class, and its invariance is certified by
-exact kernel computations on the 70-dimensional fourth wedge power of the
-rank-8 module.
+(four from each factor); classes of K-theory objects are recorded by
+their total Chern character, whose degree-zero part is the rank.  The
+distinguished degree-four class is matched against the second Chern class
+of the endomorphism bundle of the transform of a dual ideal-sheaf class,
+and its invariance is certified by exact kernel computations on the
+70-dimensional fourth wedge power of the rank-8 module.
 """
 
 from fractions import Fraction
@@ -128,75 +128,40 @@ GAMMA = F[0] * F[1] * F[2] * F[3]         # point class of the second factor
 C1_P = ALPHA                               # first Chern class of the kernel
 
 
-class ChClass:
-    """A K-theory class seen through (rank, total Chern character)."""
-
-    __slots__ = ("rank", "ch")
-
-    def __init__(self, rank, ch):
-        self.rank = int(rank)
-        self.ch = ch
-        if ch.graded_part(0) != ExtRingElement.scalar(rank):
-            raise ValueError("degree-zero part must equal the rank")
-
-    def __add__(self, other):
-        return ChClass(self.rank + other.rank, self.ch + other.ch)
-
-    def __sub__(self, other):
-        return ChClass(self.rank - other.rank, self.ch - other.ch)
-
-    def scale(self, k):
-        return ChClass(self.rank * k, self.ch.scale(k))
-
-    def __neg__(self):
-        return self.scale(-1)
-
-    def tensor(self, other):
-        return ChClass(self.rank * other.rank, self.ch * other.ch)
-
-    def dual(self):
-        return ChClass(self.rank, self.ch.dual())
-
-    def c1(self):
-        return self.ch.graded_part(2)
-
-
 def fm_class(n):
-    """The K-class of the transform of the dual ideal-sheaf class:
+    """The Chern character of the transform of the dual ideal-sheaf class:
     -n [O] + [fiber class of the second factor] - n [kernel bundle]
     + n^2 [fiber class of the first factor]."""
     if n < 1:
         raise ValueError("n must be at least 1")
-    structure = ChClass(1, ExtRingElement.scalar(1))
-    poincare = ChClass(1, C1_P.exp())
-    pt1 = ChClass(0, BETA)
-    pt2 = ChClass(0, GAMMA)
-    return structure.scale(-n) + pt2 - poincare.scale(n) + pt1.scale(n * n)
+    return (ExtRingElement.scalar(-n) + GAMMA - C1_P.exp().scale(n)
+            + BETA.scale(n * n))
 
 
-def kappa2(b):
-    """Degree-four part of ch(b) exp(-c1(b)/rank)."""
-    if b.rank == 0:
+def kappa2(ch):
+    """Degree-four part of ch exp(-c1/rank) for a Chern character ch."""
+    rank = ch.coeffs.get(0, 0)
+    if rank == 0:
         raise ValueError("kappa needs nonzero rank")
-    twist = b.c1().scale(Fraction(-1, b.rank)).exp()
-    return (b.ch * twist).graded_part(4)
+    twist = ch.graded_part(2).scale(Fraction(-1, rank)).exp()
+    return (ch * twist).graded_part(4)
 
 
-def c2_end(b):
-    """Second Chern class of the endomorphism class of b: minus the
-    degree-four Chern character of b tensor b-dual (the first Chern class
-    of the endomorphism class vanishes)."""
-    if b.rank == 0:
+def c2_end(ch):
+    """Second Chern class of the endomorphism class of the K-class with
+    Chern character ch: minus the degree-four part of ch times its dual
+    (the first Chern class of the endomorphism class vanishes)."""
+    if ch.coeffs.get(0, 0) == 0:
         raise ValueError("c2 of endomorphisms needs nonzero rank")
-    end = b.tensor(b.dual())
-    if not end.c1().is_zero():
+    end = ch * ch.dual()
+    if not end.graded_part(2).is_zero():
         raise ValueError("first Chern class of the endomorphisms is nonzero")
-    return -end.ch.graded_part(4)
+    return -end.graded_part(4)
 
 
-def c2_end_via_kappa(b):
-    """The same class through the kappa route: -2 rank kappa2(b)."""
-    return kappa2(b).scale(-2 * b.rank)
+def c2_end_via_kappa(ch):
+    """The same class through the kappa route: -2 rank kappa2(ch)."""
+    return kappa2(ch).scale(-2 * ch.coeffs.get(0, 0))
 
 
 # --- the invariant class in the fourth wedge power ---------------------------

@@ -276,9 +276,6 @@ class RatMatrix(_Matrix):
     def to_int(self):
         return IntMatrix(self.data)
 
-    def is_integral(self):
-        return all(x.denominator == 1 for row in self.data for x in row)
-
     def rref(self):
         """Reduced row echelon form; returns (matrix, pivot column list)."""
         m = [list(row) for row in self.data]

@@ -13,18 +13,25 @@ from fractions import Fraction
 from math import gcd, isqrt
 
 from .clifford import SPLUS_GRAM, V_GRAM, splus_pairing, v_pairing
-from .exact import (
-    IntMatrix,
-    RatMatrix,
-    clear_denominators,
-    in_span,
-    is_rational_square,
-    primitive_vector,
-)
+from .exact import (IntMatrix, clear_denominators, in_span, is_rational_square,
+                    primitive_vector)
 from .lattice import (SearchExhausted, orthogonal_complement_basis,
                       sample_accepted)
 from .triality import (SPLUS_LATTICE as SPLUS, S_MINUS, V, m_tilde_pair,
                        multiplication_block)
+
+
+def _composite(u, v):
+    """The Clifford product m_u m_v on V of two orthogonal integer
+    even-half classes, certified to square to -(u,u)(v,v)/4 (an integer:
+    the even half is an even lattice)."""
+    if splus_pairing(u, v) != 0:
+        raise ValueError("classes must be orthogonal")
+    m = multiplication_block(u, V, S_MINUS) @ multiplication_block(v, S_MINUS, V)
+    square = splus_pairing(u, u) * splus_pairing(v, v) // 4
+    if m @ m != IntMatrix.identity(8).scale(-square):
+        raise ValueError("m_u m_v does not square to -(u,u)(v,v)/4")
+    return m
 
 
 class WeilStructure:
@@ -36,10 +43,9 @@ class WeilStructure:
     def __init__(self, w, h):
         w = tuple(int(x) for x in w)
         h = tuple(int(x) for x in h)
+        self.theta_prime = _composite(w, h)
         ww = splus_pairing(w, w)
         hh = splus_pairing(h, h)
-        if splus_pairing(w, h) != 0:
-            raise ValueError("classes must be orthogonal")
         if ww >= 0 or hh > 0:
             raise ValueError("classes must have negative square")
         self.w = w
@@ -47,11 +53,6 @@ class WeilStructure:
         self.n = -ww // 2
         self.k = -hh // 2
         self.d = self.n * self.k
-        self.theta_prime = (multiplication_block(w, V, S_MINUS)
-                            @ multiplication_block(h, S_MINUS, V))
-        sq = self.theta_prime @ self.theta_prime
-        if sq != IntMatrix.identity(8).scale(-self.d):
-            raise ValueError("theta' does not square to -d")
         self.theta_form = self.theta_prime.transpose() @ V_GRAM
         if self.theta_form.transpose() != self.theta_form.scale(-1):
             raise ValueError("polarization form is not alternating")
@@ -71,11 +72,6 @@ def weil_structure(w, h):
     return WeilStructure(w, h)
 
 
-def _ratio(num, den):
-    """The RatMatrix num / den of an IntMatrix and a positive integer."""
-    return RatMatrix._wrap([Fraction(x, den) for x in row] for row in num.data)
-
-
 class ComplexStructureJ:
     """An exact complex structure on the rank-8 module from an orthogonal
     pair of rational classes of square -2 (ints or Fractions), held as the
@@ -91,17 +87,9 @@ class ComplexStructureJ:
         if (splus_pairing(p1, p1) != -2 * q1 * q1
                 or splus_pairing(p2, p2) != -2 * q2 * q2):
             raise ValueError("plane basis classes must have square -2")
-        if splus_pairing(p1, p2) != 0:
-            raise ValueError("plane basis classes must be orthogonal")
-        self.num = (multiplication_block(p1, V, S_MINUS)
-                    @ multiplication_block(p2, S_MINUS, V))
+        # num^2 = -(p1,p1)(p2,p2)/4 = -den^2, so J^2 = -1
+        self.num = _composite(p1, p2)
         self.den = q1 * q2
-        if self.num @ self.num != IntMatrix.identity(8).scale(-self.den ** 2):
-            raise ValueError("J^2 != -1")
-
-    @property
-    def matrix(self):
-        return _ratio(self.num, self.den)
 
 
 def j_ell(u1, u2):
@@ -109,13 +97,14 @@ def j_ell(u1, u2):
 
 
 def kahler_metric(ws, j):
-    """g(x,y) = Theta_h(J x, y); returns (gram, sign) with sign +1 for
-    positive definite and -1 for negative definite.
+    """g(x,y) = Theta_h(J x, y); returns (den * g, sign): the integer Gram
+    num^T Theta of g times the positive den of J, and sign +1 for positive
+    definite and -1 for negative definite.
 
     Requires the plane of J orthogonal to both classes of the structure;
-    raises ValueError when g is indefinite (incompatible inputs).  The
-    certificate runs on the integer matrix den * g = num^T Theta: den is
-    positive, so its leading minors have the signs of those of g."""
+    raises ValueError when g is indefinite (incompatible inputs).  As den
+    is positive, the leading minors of den * g have the signs of those of
+    g."""
     for u in (j.u1, j.u2):
         if splus_pairing(u, ws.w) != 0 or splus_pairing(u, ws.h) != 0:
             raise ValueError("period plane must be orthogonal to both classes")
@@ -125,7 +114,7 @@ def kahler_metric(ws, j):
     minors = [g.block(0, 0, k, k).det() for k in range(1, 9)]
     for sign in (1, -1):
         if all(sign ** k * m > 0 for k, m in enumerate(minors, 1)):
-            return _ratio(g, j.den), sign
+            return g, sign
     raise ValueError("metric is indefinite")
 
 
@@ -146,7 +135,7 @@ def anticommute_check(w, h, h_prime, f):
     anticommute = (j.num @ j_prime.num + j_prime.num @ j.num).is_zero()
     g1, _ = kahler_metric(ws, j)
     g2, _ = kahler_metric(ws_prime, j_prime)
-    return anticommute, g1 == g2
+    return anticommute, g1.scale(j_prime.den) == g2.scale(j.den)
 
 
 def weil_multiplication_check(ws, a, b):
@@ -316,25 +305,14 @@ class DiscriminantCertificate:
         self.root = root
         self.checks = checks
 
-    def to_json(self):
-        return {
-            "w": list(self.ws.w),
-            "h": list(self.ws.h),
-            "d": self.ws.d,
-            "quadruple": [list(v) for v in self.quadruple],
-            "basis": [[str(c) for c in v] for v in self.basis],
-            "det_psi": str(self.det_psi),
-            "square_root_witness": str(self.root),
-            "checks": self.checks,
-        }
-
 
 def _isotropic_plane(z):
     """The rank-4 kernel of multiplication V -> S- by an isotropic
-    even-half class, as primitive integer vectors."""
+    even-half class, as primitive integer vectors.  A nonzero null
+    half-spinor of Spin(4,4) is pure, so any other rank is a fault."""
     basis = multiplication_block(z, S_MINUS, V).kernel()
     if len(basis) != 4:
-        raise SearchExhausted("isotropic class kernel is not 4-dimensional")
+        raise ValueError("isotropic class kernel is not 4-dimensional")
     return basis
 
 
@@ -374,7 +352,8 @@ def hermitian_and_discriminant(ws, rng):
         [ws.w, ws.h], (2, -2, 2, -2), rng)
     checks = {}
 
-    # the planes of the isotropic classes e - f and e + f of each pair
+    # the planes of the isotropic classes e - f and e + f of each pair: two
+    # orthogonal independent pure spinors of one chirality meet in a plane
     lz, ly = ([_isotropic_plane(tuple(a + s * b for a, b in zip(e, f)))
                for s in (-1, 1)] for e, f in ((e1, f1), (e2, f2)))
     planes = {}
@@ -382,7 +361,7 @@ def hermitian_and_discriminant(ws, rng):
         for jj in (0, 1):
             inter = _intersect(lz[i], ly[jj])
             if len(inter) != 2:
-                raise SearchExhausted("plane intersection is not 2-dimensional")
+                raise ValueError("plane intersection is not 2-dimensional")
             planes[(i, jj)] = inter
 
     checks["planes_theta_invariant"] = all(
@@ -438,16 +417,20 @@ def hermitian_and_discriminant(ws, rng):
 
 def _pick_pair(plane_a, plane_b, ws):
     """a in the first plane, b in the second with (a,b) != 0 and
-    (a, theta'(b)) = 0."""
+    (a, theta'(b)) = 0.
+
+    The partner b(a) is linear in a, so (a, b(a)) is a binary quadratic
+    form on the first plane: when it vanishes (or b does) at p, q and
+    p + q it vanishes on the whole plane, and no further draw can help."""
     p, q = plane_a
 
     def draw(i):
-        s, t = ((1, 0), (0, 1), (1, 1), (1, -1), (1, 2))[i]
+        s, t = ((1, 0), (0, 1), (1, 1))[i]
         a = primitive_vector(tuple(s * x + t * y for x, y in zip(p, q)))
         return a, _orthogonal_partner(a, plane_b, ws.theta_prime)
 
     return sample_accepted(draw, lambda ab: v_pairing(*ab) != 0, 1,
-                           "nondegenerate pairs in the plane product", 5)[0]
+                           "nondegenerate pairs in the plane product", 3)[0]
 
 
 def spin_wh_commutant_check(v_actions, ws):

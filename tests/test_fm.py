@@ -64,8 +64,7 @@ def test_phi_f_group_law():
     f = LineBundleClass((2, -1, 0, 1, 0, 1))
     f_inverse = LineBundleClass(tuple(-c for c in f.c1))
     composed = phi_f_ax(f) @ phi_f_ax(f_inverse)
-    assert composed.matrix.to_rat().is_integral()
-    assert composed.matrix.to_rat().to_int().is_identity()
+    assert composed.matrix.is_identity()
 
 
 def test_phi_p_identities():

@@ -19,7 +19,8 @@ from kummer_spin.clifford import (
     splus_pairing,
     v_pairing,
 )
-from kummer_spin.exact import IntMatrix, RatMatrix, primitive_vector
+from kummer_spin.exact import (IntMatrix, RatMatrix, clear_denominators,
+                                primitive_vector)
 from kummer_spin.lattice import orthogonal_complement_basis
 from kummer_spin.stabilizer import wh_stabilizer_v_actions, sl4_generator, random_sl4
 from kummer_spin.triality import ax_element, multiplication_operator
@@ -92,10 +93,12 @@ def test_j_ell_squares_to_minus_one():
     assert splus_pairing(v2, v2) == -2
     assert splus_pairing(v1, v2) == 0
     j = j_ell(v1, v2)
-    assert (j.matrix @ j.matrix).scale(-1).is_identity()
+    assert j.den == 1
+    assert (j.num @ j.num).scale(-1).is_identity()
     # swapping the plane basis negates the structure
     j_swapped = j_ell(v2, v1)
-    assert j_swapped.matrix == j.matrix.scale(-1)
+    assert j_swapped.den == 1
+    assert j_swapped.num == j.num.scale(-1)
 
 
 def test_j_ell_rational_coordinates():
@@ -104,7 +107,7 @@ def test_j_ell_rational_coordinates():
     # instead a genuinely fractional combination with square -2
     v2 = tuple(Fraction(x, 2) for x in mukai_triple(0, (0, 2, 0, 0, -2, 0), 0))
     j = j_ell(v1, v2)
-    assert (j.matrix @ j.matrix).scale(-1).is_identity()
+    assert (j.num @ j.num).scale(-1) == IntMatrix.identity(8).scale(j.den ** 2)
 
 
 def test_kahler_metric_definite():
@@ -214,8 +217,7 @@ def test_j_commutes_with_theta_prime_when_orthogonal():
     u1 = mukai_triple(0, (0, 1, 0, 0, -1, 0), 0)
     u2 = mukai_triple(0, (0, 0, 1, 1, 0, 0), 0)
     j = j_ell(u1, u2)
-    tp = ws.theta_prime.to_rat()
-    assert j.matrix @ tp == tp @ j.matrix
+    assert j.num @ ws.theta_prime == ws.theta_prime @ j.num
 
 
 def test_anticommute_rejects_degenerate_input():
@@ -353,7 +355,9 @@ def test_pick_pair_matches_the_loop(monkeypatch):
         hermitian_and_discriminant(
             weil_structure(*random_weil_pair(rng, n_max=6, k_max=6)), rng)
     # random planes; planes whose every partner is zero (plane_a lies in
-    # the V-orthogonal of theta'(plane_b)); and planes with one such vector
+    # the V-orthogonal of theta'(plane_b)); planes with one such vector;
+    # and planes (p, q) where p has a partner b with (p, b) = 0 and q has
+    # none, so that only the third candidate p + q is accepted
     rng = random.Random(7)
     ws = calls[0][2]
     for _ in range(20):
@@ -361,8 +365,13 @@ def test_pick_pair_matches_the_loop(monkeypatch):
         plane_a = [tuple(rng.randint(-3, 3) for _ in range(8)) for _ in range(2)]
         rows = [V_GRAM.apply(ws.theta_prime.apply(v)) for v in plane_b]
         no_partner = IntMatrix(rows).kernel()
+        r, s = plane_b
+        p = next(v for v in IntMatrix([rows[0], V_GRAM.apply(r)]).kernel()
+                 if v_pairing(v, ws.theta_prime.apply(s)))
+        q = next(v for v in no_partner if v_pairing(v, r))
         calls += [(plane_a, plane_b, ws), (no_partner[:2], plane_b, ws),
-                  ((no_partner[0], plane_a[0]), plane_b, ws)]
+                  ((no_partner[0], plane_a[0]), plane_b, ws),
+                  ((p, q), plane_b, ws)]
     outcomes = [_outcome(_loop_pick_pair, *call) for call in calls]
     assert [_outcome(pick, *call) for call in calls] == outcomes
     assert outcomes.count(None) == 20
@@ -448,21 +457,27 @@ def test_square_candidates_match_cube_walk():
     assert cut > 10 and found > 1000  # the cut-off and the lists are real
 
 
-def _reference_j(u1, u2):
-    """J from the Fraction classes by rational products of the S- -> V
-    block of u1 and the V -> S- block of u2, with J^2 = -1 checked."""
+def _reference_composite(u1, u2):
+    """m_u1 m_u2 on V from classes of ints or Fractions, by rational
+    products of the S- -> V block of u1 and the V -> S- block of u2."""
     def block(u, rows, cols):
         m = multiplication_operator(ax_element(s_plus=[Fraction(x) for x in u]))
         return RatMatrix([[m[i, j] for j in cols] for i in rows])
 
     v, sminus = range(8), range(8, 16)
-    j = block(u1, v, sminus) @ block(u2, sminus, v)
+    return block(u1, v, sminus) @ block(u2, sminus, v)
+
+
+def _reference_j(u1, u2):
+    """J of a pair of -2 classes, with J^2 = -1 checked."""
+    j = _reference_composite(u1, u2)
     assert j @ j == RatMatrix.identity(8).scale(-1)
     return j
 
 
 def _reference_kahler(ws, j):
-    """The Gram J^T Theta and its sign from rational leading minors."""
+    """The Gram J^T Theta and its sign from rational leading minors, for J
+    the rational matrix of _reference_j."""
     g = j.transpose() @ ws.theta_form.to_rat()
     assert g.transpose() == g
     for sign in (1, -1):
@@ -491,11 +506,63 @@ def test_kahler_metric_and_j_match_rational_oracle():
         ws = weil_structure(w, h)
         for a, b in ((u1, u2), (u2, u1)):
             j = j_ell(a, b)
-            assert j.matrix == _reference_j(a, b)
+            reference = _reference_j(a, b)
+            assert j.den > 0
+            assert j.num == reference.scale(j.den)
             g, sign = kahler_metric(ws, j)
-            assert (g, sign) == _reference_kahler(ws, j.matrix)
+            g_ref, sign_ref = _reference_kahler(ws, reference)
+            assert (g, sign) == (g_ref.scale(j.den), sign_ref)
             signs.add(sign)
     assert signs == {1, -1}
+
+
+def test_theta_prime_and_j_are_one_composite():
+    # theta' = m_w m_h and den * J = m_p1 m_p2 on the cleared numerators,
+    # on seeded pairs and on the pair with denominators
+    rng = random.Random(1403)
+    pairs = [(S3, H_CANON)] + [random_weil_pair(rng, n_max=6, k_max=6)
+                               for _ in range(6)]
+    for w, h in pairs:
+        composite = weil_mod._composite(w, h)
+        assert composite == _reference_composite(w, h)
+        assert weil_structure(w, h).theta_prime == composite
+    planes = [((0, Fraction(1, 2), 0, 0, 0, 0, 2, 0), (0, 0, 0, 1, 1, 0, 0, 0))]
+    while len(planes) < 6:
+        w, h = random_weil_pair(rng, n_max=6, k_max=6)
+        try:
+            planes.append(find_orthogonal_square_vectors([w, h], (-2, -2), rng))
+        except SearchExhausted:
+            continue
+    for u1, u2 in planes:
+        (p1, q1), (p2, q2) = map(clear_denominators, (u1, u2))
+        j = j_ell(u1, u2)
+        assert j.num == weil_mod._composite(p1, p2)
+        assert j.den == q1 * q2
+    assert j_ell(*planes[0]).den == 2
+    with pytest.raises(ValueError, match="must be orthogonal"):
+        weil_mod._composite(S3, mukai_triple(1, [0] * 6, 1))
+
+
+def test_isotropic_plane_of_a_non_isotropic_class_is_a_fault():
+    # a class of square 2 has no kernel: a structural fault, not a draw
+    # to reject
+    z = (0, 1, 0, 0, 0, 0, -1, 0)
+    assert splus_pairing(z, z) == 2
+    with pytest.raises(ValueError, match="4-dimensional"):
+        weil_mod._isotropic_plane(z)
+
+
+def test_intersection_of_wrong_dimension_is_not_a_rejected_draw(monkeypatch):
+    # a 3-dimensional intersection ends the run with the ValueError
+    # instead of being retried and reported as an exhausted search
+    from kummer_spin import cli
+
+    def three_rows(space_a, space_b):
+        return [tuple(int(i == k) for i in range(8)) for k in range(3)]
+
+    monkeypatch.setattr(weil_mod, "_intersect", three_rows)
+    with pytest.raises(ValueError, match="2-dimensional"):
+        cli.main(["verify", "discriminant"])
 
 
 def test_kahler_metric_rejects_plane_not_orthogonal_to_classes():
