@@ -133,7 +133,9 @@ def main(argv=None):
             parser.error("KUMMER_SPIN_SEED must be an integer, got %r" % text)
     if getattr(args, "h", None) is not None:
         try:
-            weil_structure(s_n(args.n), args.h)
+            # WeilStructure takes an isotropic h (d = 0); no polarization does
+            if weil_structure(s_n(args.n), args.h).d == 0:
+                raise ValueError("classes must have negative square")
         except ValueError as exc:
             sys.stderr.write("--h is not an admissible polarization class: "
                              "%s\n" % exc)

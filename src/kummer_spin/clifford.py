@@ -30,21 +30,13 @@ def _sign_below(mask, i):
 def _gen_entries(k):
     """Sparse entries (row, col, sign) of the k-th generator matrix.
 
-    k in 0..3: wedge by generator k; k in 4..7: contraction by the
-    dual generator k-4.
+    Both kinds toggle bit k mod 4: k in 0..3 wedges by generator k (the
+    bit is clear in the column), k in 4..7 contracts by the dual
+    generator k-4 (the bit is set in the column).
     """
-    entries = []
-    if k < 4:
-        bit = 1 << k
-        for m in range(16):
-            if not m & bit:
-                entries.append((m | bit, m, _sign_below(m, k)))
-    else:
-        bit = 1 << (k - 4)
-        for m in range(16):
-            if m & bit:
-                entries.append((m ^ bit, m, _sign_below(m, k - 4)))
-    return tuple(entries)
+    i = k % 4
+    return tuple((m ^ (1 << i), m, _sign_below(m, i))
+                 for m in range(16) if (m >> i & 1) == (k >= 4))
 
 
 GEN_ENTRIES = tuple(_gen_entries(k) for k in range(8))

@@ -396,107 +396,76 @@ def _ext_gcd(a, b):
     return old_r, old_s, old_t
 
 
+def _clear_column(m, t, k, p, c):
+    """Swap rows k and p of m, then zero m[i][c] for every i > k: one
+    unimodular operation on rows k and i per entry, a Bezout 2x2 block
+    when m[k][c] does not divide it (one gcd step clears an entry, which
+    keeps intermediate entries tame).  Every operation is repeated on t."""
+    m[k], m[p] = m[p], m[k]
+    t[k], t[p] = t[p], t[k]
+    for i in range(k + 1, len(m)):
+        bb = m[i][c]
+        if not bb:
+            continue
+        aa = m[k][c]
+        if bb % aa == 0:
+            q = bb // aa
+            for x in (m, t):
+                x[i] = [a - q * b for a, b in zip(x[i], x[k])]
+        else:
+            g, s, r = _ext_gcd(aa, bb)
+            u, v = aa // g, bb // g
+            for x in (m, t):
+                xk, xi = x[k], x[i]
+                x[k] = [s * a + r * b for a, b in zip(xk, xi)]
+                x[i] = [u * b - v * a for a, b in zip(xk, xi)]
+
+
 def smith_normal_form(a):
     """Smith normal form with unimodular transforms.
 
-    Pivot-minimizing elimination with Bezout 2x2 blocks (one gcd step
-    clears an entry, which keeps intermediate entries tame); the
-    invariant factors are nonnegative and satisfy d1 | d2 | ... .
+    Pivot-minimizing elimination; the invariant factors are nonnegative
+    and satisfy d1 | d2 | ... .  Row steps act on the working matrix w
+    and on left; column steps are row steps on the transposes of w and
+    of right.  Row operations commute with column swaps, so the pivot
+    row clears the pivot's column before that column moves to k.
     """
     if not isinstance(a, IntMatrix):
         a = IntMatrix(a)
     nr, nc = a.rows, a.cols
-    w = [list(row) for row in a.data]
+    w = list(a.data)
     left = [[int(i == j) for j in range(nr)] for i in range(nr)]
-    right = [[int(i == j) for j in range(nc)] for i in range(nc)]
-
-    def swap_rows(i, j):
-        w[i], w[j] = w[j], w[i]
-        left[i], left[j] = left[j], left[i]
-
-    def swap_cols(i, j):
-        for row in w:
-            row[i], row[j] = row[j], row[i]
-        for row in right:
-            row[i], row[j] = row[j], row[i]
-
-    def clear_in_column(k, i):
-        # make w[i][k] == 0 via a unimodular op on rows k and i
-        aa, bb = w[k][k], w[i][k]
-        if bb % aa == 0:
-            q = bb // aa
-            w[i] = [x - q * y for x, y in zip(w[i], w[k])]
-            left[i] = [x - q * y for x, y in zip(left[i], left[k])]
-        else:
-            g, s, t = _ext_gcd(aa, bb)
-            u, v = aa // g, bb // g
-            wk, wi = w[k], w[i]
-            w[k] = [s * x + t * y for x, y in zip(wk, wi)]
-            w[i] = [u * y - v * x for x, y in zip(wk, wi)]
-            lk, li = left[k], left[i]
-            left[k] = [s * x + t * y for x, y in zip(lk, li)]
-            left[i] = [u * y - v * x for x, y in zip(lk, li)]
-
-    def clear_in_row(k, j):
-        # make w[k][j] == 0 via a unimodular op on columns k and j
-        aa, bb = w[k][k], w[k][j]
-        if bb % aa == 0:
-            q = bb // aa
-            for row in w:
-                row[j] -= q * row[k]
-            for row in right:
-                row[j] -= q * row[k]
-        else:
-            g, s, t = _ext_gcd(aa, bb)
-            u, v = aa // g, bb // g
-            for row in w:
-                ck, cj = row[k], row[j]
-                row[k] = s * ck + t * cj
-                row[j] = u * cj - v * ck
-            for row in right:
-                ck, cj = row[k], row[j]
-                row[k] = s * ck + t * cj
-                row[j] = u * cj - v * ck
-
+    right_t = [[int(i == j) for j in range(nc)] for i in range(nc)]
     for k in range(min(nr, nc)):
-        piv = None
-        for i in range(k, nr):
-            for j in range(k, nc):
-                if w[i][j] != 0 and (piv is None or abs(w[i][j]) < abs(w[piv[0]][piv[1]])):
-                    piv = (i, j)
+        # the nonzero entry of least absolute value, first in row order
+        piv = min(((abs(x), i, j) for i in range(k, nr)
+                   for j, x in enumerate(w[i][k:], k) if x), default=None)
         if piv is None:
             break
-        swap_rows(k, piv[0])
-        swap_cols(k, piv[1])
+        _, i, j = piv
         while True:
-            for i in range(k + 1, nr):
-                if w[i][k] != 0:
-                    clear_in_column(k, i)
-            for j in range(k + 1, nc):
-                if w[k][j] != 0:
-                    clear_in_row(k, j)
-            # column ops can refill column k; loop until both are clear
-            if any(w[i][k] != 0 for i in range(k + 1, nr)):
+            _clear_column(w, left, k, i, j)
+            # the column pass, unless no column moves and row k is clear
+            if j != k or any(w[k][k + 1:]):
+                wt = list(zip(*w))
+                _clear_column(wt, right_t, k, j, k)
+                w = list(zip(*wt))
+            # column steps can refill column k; loop until it is clear
+            i = j = k
+            if any(w[r][k] for r in range(k + 1, nr)):
                 continue
-            if any(w[k][j] != 0 for j in range(k + 1, nc)):
-                continue
-            culprit = None
-            for i in range(k + 1, nr):
-                for j in range(k + 1, nc):
-                    if w[i][j] % w[k][k] != 0:
-                        culprit = i
-                        break
-                if culprit is not None:
-                    break
+            pk = w[k][k]
+            culprit = next((r for r in range(k + 1, nr)
+                            if any(x % pk for x in w[r][k + 1:])), None)
             if culprit is None:
                 break
-            w[k] = [x + y for x, y in zip(w[k], w[culprit])]
-            left[k] = [x + y for x, y in zip(left[k], left[culprit])]
+            for m in (w, left):
+                m[k] = [x + y for x, y in zip(m[k], m[culprit])]
     for k in range(min(nr, nc)):
         if w[k][k] < 0:
-            w[k] = [-x for x in w[k]]
-            left[k] = [-x for x in left[k]]
-    lm, rm = IntMatrix(left), IntMatrix(right)
+            for m in (w, left):
+                m[k] = [-x for x in m[k]]
+    lm, rm = IntMatrix._wrap(left), IntMatrix._wrap(zip(*right_t))
     factors = [w[k][k] for k in range(min(nr, nc))]
     result = SmithForm(a, lm, rm, factors)
     if lm @ a @ rm != result.diagonal():

@@ -57,9 +57,6 @@ class LineBundleClass:
         out[ALL] = self.c1_square_half()
         return tuple(out)
 
-    def mukai_vector(self):
-        return mukai_triple(1, self.c1, self.c1_square_half())
-
     def dual_surface_bundle(self):
         """The associated bundle on the dual surface, with first Chern
         class iota(PD(c1))."""
@@ -68,32 +65,27 @@ class LineBundleClass:
         return LineBundleClass(c1)
 
 
-def iota_pd(spinor):
+def iota_pd_matrix():
     """iota . PD: send the subset class to its complement, with the sign of
     the Poincare pairing, landing in the dual surface's coordinates."""
-    out = [0] * 16
-    for a in range(16):
-        if spinor[a]:
-            out[ALL ^ a] += spinor[a] * merge_sign(a, ALL ^ a)
-    return tuple(out)
-
-
-def iota_pd_matrix():
     rows = [[0] * 16 for _ in range(16)]
     for a in range(16):
         rows[ALL ^ a][a] = merge_sign(a, ALL ^ a)
     return IntMatrix._wrap(rows)
 
 
+_IOTA_PD = iota_pd_matrix()
+
+
+def iota_pd(spinor):
+    return _IOTA_PD.apply(spinor)
+
+
 def transform_matrix():
     """The 16x16 graded map from the surface's cohomology to the dual's:
     (-1)^(i(i+1)/2) iota . PD on degree i."""
-    rows = [[0] * 16 for _ in range(16)]
-    for a in range(16):
-        d = degree(a)
-        sign = -1 if (d * (d + 1) // 2) & 1 else 1
-        rows[ALL ^ a][a] = sign * merge_sign(a, ALL ^ a)
-    return IntMatrix._wrap(rows)
+    return _IOTA_PD @ IntMatrix.diagonal(
+        [-1 if (d * (d + 1) // 2) & 1 else 1 for d in map(degree, range(16))])
 
 
 def varphi_matrix():

@@ -44,6 +44,7 @@ class IntLattice:
         self.gram = gram
         self.label = label
         self._positive_basis = None
+        self._discriminant = None
 
     def pairing(self, x, y):
         x = _coords(x, self.rank)
@@ -244,7 +245,10 @@ class DiscriminantGroup:
 
 
 def discriminant_group(lattice):
-    """Invariant factors and generator lifts of L*/L from SNF of the Gram."""
+    """Invariant factors and generator lifts of L*/L from SNF of the Gram,
+    computed once per lattice."""
+    if lattice._discriminant is not None:
+        return lattice._discriminant
     det = lattice.gram.det()
     if det == 0:
         raise ValueError("degenerate Gram matrix")
@@ -260,27 +264,21 @@ def discriminant_group(lattice):
     group = DiscriminantGroup(lattice, factors, lifts)
     if group.order != abs(det):
         raise ValueError("discriminant group order is not |det|")
+    lattice._discriminant = group
     return group
 
 
-def chi_character(lattice, g, disc=None):
+def chi_character(lattice, g):
     """The sign by which the isometry g acts on L*/L.
 
     Raises if the action is not multiplication by +-1 (the character is
     only defined on the relevant reflection group).
     """
-    if disc is None:
-        disc = discriminant_group(lattice)
-    if disc.is_trivial():
-        return 1
+    lifts = discriminant_group(lattice).lifts
+    images = [g.matrix.apply(lift) for lift in lifts]
     for eps in (1, -1):
-        ok = True
-        for lift in disc.lifts:
-            image = g.matrix.apply(lift)
-            if any((a - eps * b).denominator != 1 for a, b in zip(image, lift)):
-                ok = False
-                break
-        if ok:
+        if all((a - eps * b).denominator == 1 for lift, image in zip(lifts, images)
+               for a, b in zip(image, lift)):
             return eps
     raise ValueError("isometry does not act by +-1 on the discriminant group")
 

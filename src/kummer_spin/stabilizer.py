@@ -346,15 +346,20 @@ def find_h2_with_square(target, rng, orthogonal_to=None):
     return a
 
 
+def random_pair_reflection(n, rng, orthogonal_to=None):
+    """pair_reflection_generator on two classes of square 2n-2 (wedging to
+    zero with orthogonal_to when given), drawn in turn by
+    find_h2_with_square."""
+    a1 = find_h2_with_square(2 * n - 2, rng, orthogonal_to)
+    a2 = find_h2_with_square(2 * n - 2, rng, orthogonal_to)
+    return pair_reflection_generator(a1, a2, n)
+
+
 def sample_generators(n, count, rng):
     """A deterministic list of stabilizer generators, cycling through the
     kinds sl4, pair_reflection, tilde_tau, tilde_alpha and minus_one."""
-    def pair_reflection():
-        a1 = find_h2_with_square(2 * n - 2, rng)
-        a2 = find_h2_with_square(2 * n - 2, rng)
-        return pair_reflection_generator(a1, a2, n)
-
-    kinds = (lambda: sl4_generator(random_sl4(rng), n), pair_reflection,
+    kinds = (lambda: sl4_generator(random_sl4(rng), n),
+             lambda: random_pair_reflection(n, rng),
              lambda: tau_tilde_generator(n), lambda: alpha_tilde_generator(n),
              lambda: minus_one_generator(n))
     return [kinds[k % len(kinds)]() for k in range(count)]
@@ -401,9 +406,7 @@ def stabilizer_v_actions(n, count, rng):
         if len(out) % 2 == 0:
             out.append(sl4_generator(random_sl4(rng), n).v_matrix())
         else:
-            a1 = find_h2_with_square(2 * n - 2, rng)
-            a2 = find_h2_with_square(2 * n - 2, rng)
-            out.append(pair_reflection_generator(a1, a2, n).v_matrix())
+            out.append(random_pair_reflection(n, rng).v_matrix())
     return out
 
 
@@ -421,9 +424,7 @@ def wh_stabilizer_v_actions(n, h6, count, rng):
                 "nonzero transvection vectors", 20000)
             g = sl4_generator(bivector_transvection(h6, v), n)
         else:
-            a1 = find_h2_with_square(2 * n - 2, rng, orthogonal_to=h6)
-            a2 = find_h2_with_square(2 * n - 2, rng, orthogonal_to=h6)
-            g = pair_reflection_generator(a1, a2, n)
+            g = random_pair_reflection(n, rng, orthogonal_to=h6)
         image = splus_block(g.ax.apply(ax_element(s_plus=hvec)))
         if tuple(image) != tuple(hvec):
             raise ValueError("generator moves the polarization")
@@ -448,14 +449,14 @@ def det_chi_report(n, sample_count, seed):
         uu = lat.square(coords)
         r = signed_reflection(lat, coords)
         if det_character(r) != uu // 2 \
-                or chi_character(lat, r, disc) != -uu // 2:
+                or chi_character(lat, r) != -uu // 2:
             reflections_ok = False
     # generated stabilizer elements: fix s_n, det*chi = +1 on the complement
     gens = sample_generators(n, sample_count, rng)
     generators_ok = True
     for g in gens:
         iso = g.perp_action()
-        if det_character(iso) * chi_character(lat, iso, disc) != 1:
+        if det_character(iso) * chi_character(lat, iso) != 1:
             generators_ok = False
     # the grading involution fixes degree two and negates (1,0,n)
     tt = tau_tilde_generator(n).perp_action()
@@ -464,7 +465,7 @@ def det_chi_report(n, sample_count, seed):
                    == tuple(int(i == k) for i in range(7)) for k in range(1, 7))
     negates = tt.apply(e0) == tuple(-x for x in e0)
     tau_tilde_ok = fixes_h2 and negates and det_character(tt) == -1 \
-        and det_character(tt) * chi_character(lat, tt, disc) == 1
+        and det_character(tt) * chi_character(lat, tt) == 1
     formula = 2 * (2 * n - 2) + 2
     return [
         ("reflection_characters", "eq-residue-character", reflections_ok,

@@ -13,8 +13,8 @@ from fractions import Fraction
 from math import gcd, isqrt
 
 from .clifford import SPLUS_GRAM, V_GRAM, splus_pairing, v_pairing
-from .exact import (IntMatrix, clear_denominators, in_span, is_rational_square,
-                    primitive_vector)
+from .exact import (IntMatrix, _as_int, clear_denominators, in_span,
+                    is_rational_square, primitive_vector)
 from .lattice import (SearchExhausted, orthogonal_complement_basis,
                       sample_accepted)
 from .triality import (SPLUS_LATTICE as SPLUS, S_MINUS, V, m_tilde_pair,
@@ -41,8 +41,8 @@ class WeilStructure:
     __slots__ = ("w", "h", "n", "k", "d", "theta_prime", "theta_form")
 
     def __init__(self, w, h):
-        w = tuple(int(x) for x in w)
-        h = tuple(int(x) for x in h)
+        w = tuple(map(_as_int, w))
+        h = tuple(map(_as_int, h))
         self.theta_prime = _composite(w, h)
         ww = splus_pairing(w, w)
         hh = splus_pairing(h, h)
@@ -293,13 +293,10 @@ def random_weil_pair(rng, n_max=None, k_max=None):
 class DiscriminantCertificate:
     """The constructive H-orthogonal basis and the square witness."""
 
-    __slots__ = ("ws", "quadruple", "planes", "basis", "det_psi", "root",
-                 "checks")
+    __slots__ = ("ws", "basis", "det_psi", "root", "checks")
 
-    def __init__(self, ws, quadruple, planes, basis, det_psi, root, checks):
+    def __init__(self, ws, basis, det_psi, root, checks):
         self.ws = ws
-        self.quadruple = quadruple
-        self.planes = planes
         self.basis = basis
         self.det_psi = det_psi
         self.root = root
@@ -411,8 +408,7 @@ def hermitian_and_discriminant(ws, rng):
     checks["det_formula"] = det_psi == expected
     ok, root = is_rational_square(det_psi)
     checks["det_is_rational_square"] = ok
-    return DiscriminantCertificate(ws, (e1, f1, e2, f2), planes, basis,
-                                   det_psi, root, checks)
+    return DiscriminantCertificate(ws, basis, det_psi, root, checks)
 
 
 def _pick_pair(plane_a, plane_b, ws):

@@ -152,7 +152,7 @@ def test_criterion_5_stabilizer_characters():
         for g in words:
             # construction asserts the class is fixed
             iso = g.perp_action()
-            ok &= det_character(iso) * chi_character(lat, iso, disc) == 1
+            ok &= det_character(iso) * chi_character(lat, iso) == 1
         found = 0
         while found < 50:
             coords = tuple(rng.randint(-3, 3) for _ in range(7))
@@ -162,7 +162,7 @@ def test_criterion_5_stabilizer_characters():
             found += 1
             r = signed_reflection(lat, coords)
             ok &= det_character(r) == uu // 2
-            ok &= chi_character(lat, r, disc) == -uu // 2
+            ok &= chi_character(lat, r) == -uu // 2
         details.append("n=%d disc order %d (formula 2dim+2: %d)"
                        % (n, disc.order, 4 * n - 2))
     report(5, "stabilizer det*chi and reflection characters; %s"

@@ -161,6 +161,76 @@ def test_verify_all_report_bytes_without_asserts():
         "47180dc5c2479b988b9b274cefbecee7bb11a5a65401aa27005ddba5a54bc503")
 
 
+# sha256 of every suite's report at its defaults and of `verify all --n 4
+# --seed 7`, in both formats, run in one process one after another: what
+# one run caches (lattices, discriminant groups) must not change a byte
+REPORT_DIGESTS = {
+    "clifford --format text":
+        "de3ebd1e5d8d292ffaaf37cdcf7958ce99ffc4763662589b9a15e28d040c6e4c",
+    "clifford --format json":
+        "907fc10f12aa52966605e5b79518af2ffac168109f807caab4b5b17dfd8dc5b3",
+    "triality --format text":
+        "f4116f412a1fef4c783cfafc61a3529f48efc9fc58710766fc04ed68fd5e7749",
+    "triality --format json":
+        "f3e0c7fcec1fa40c292c9ad4365106dce4099c410f63ce3d751f16eedf411fe6",
+    "fm --format text":
+        "9bd67806e43f817379ded9ead5fe895b8e89b677a1450acb6548fd9581baa3ee",
+    "fm --format json":
+        "698d04095f7ec80998d144c945e03212f797dbe4f92d42a221da3005e664952b",
+    "stabilizer --format text":
+        "2b71581102eb43dcb11e732350b245fdddb1a460b5dd47c4b1796912dd21e51b",
+    "stabilizer --format json":
+        "cc9e93564456c5c696bee4a2abda58df9c70382f161a47658e106068ff259006",
+    "modn --format text":
+        "2abf179a31c9388e131c702d450022d94f07b0646f3c6f7e03af0a412221e1f8",
+    "modn --format json":
+        "877268cc372b644aad16c8705204d673eef9a75a1332a052d3799dfb4e150807",
+    "detchi --format text":
+        "b5d3df003bc076d3dec59fd248fa7d164f9cba2c894ad255084cedbcd764c468",
+    "detchi --format json":
+        "db580921e8372c6c901df6cd096bc7ad92110d8e8cd6ca579641d784bf2b51cf",
+    "gamma --format text":
+        "b0a2215628f48aa0c00a7a39797db17e8d6ab542b2f16d9d390374486839c91c",
+    "gamma --format json":
+        "d1df07f86f23eb48e1f1474f381c8d734847113eb9223639e863668b9b4f5dbe",
+    "cayley --format text":
+        "b09240d4a9b8ac8fc30b60a1bde609b750df563b713bd99432d10750232d441f",
+    "cayley --format json":
+        "4c60aed3e9121cf3122c4768fd749eadd5b9986beac04c74e43d7ca32d01f571",
+    "weil --format text":
+        "91c7fab5e83f30e812eb0b1dd8273876504a91d6708f165d5e258f7863465aa4",
+    "weil --format json":
+        "04c2340963f3c070287b9af8e01eab3f1bd6435259b453dc6f112ac42b6f036f",
+    "discriminant --format text":
+        "f12b63efe6ddf7007047d31f360f723c883e814ec7b2b0e1676ecf076aea0aee",
+    "discriminant --format json":
+        "6180dc056f7493f4cfb32926fd31a5e2b732023fd4933764bbc8725343402749",
+    "all --n 4 --seed 7 --format text":
+        "47180dc5c2479b988b9b274cefbecee7bb11a5a65401aa27005ddba5a54bc503",
+    "all --n 4 --seed 7 --format json":
+        "1bcc218aae2ff4d1cd3358a7aa22138789628fc9d69ca3c05c03a444e30efb7c",
+}
+
+
+@pytest.mark.parametrize("line", REPORT_DIGESTS)
+def test_report_bytes_in_process(tmp_path, line):
+    out = tmp_path / "report"
+    assert cli.main(["verify", *line.split(), "--out", str(out)]) == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == REPORT_DIGESTS[line]
+
+
+@pytest.mark.parametrize("h", ["0,0,0,0,0,0,0,0", "0,-1,-1,-1,-1,-1,0,0"])
+def test_square_zero_h_exits_2(capsys, h):
+    # an isotropic class (the zero class included) is no polarization
+    with pytest.raises(SystemExit) as exit_info:
+        cli.main(["verify", "weil", "--h=" + h])
+    assert exit_info.value.code == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == ("--h is not an admissible polarization class: "
+                   "classes must have negative square\n")
+
+
 SUITE_ORDER = ("clifford", "triality", "fm", "stabilizer", "modn", "detchi",
                "gamma", "cayley", "weil", "discriminant")
 

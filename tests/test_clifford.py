@@ -385,6 +385,19 @@ def test_group_flags_rejects_zero_or_non_scalar_norm():
             group_flags(x)
 
 
+def test_generator_entries_match_two_branch_rule():
+    # wedge sets bit k, contraction clears bit k - 4, both with the sign
+    # of the generators below
+    for k in range(8):
+        bit = 1 << (k % 4)
+        below = {m: (-1) ** bin(m & (bit - 1)).count("1") for m in range(16)}
+        if k < 4:
+            ref = [(m | bit, m, below[m]) for m in range(16) if not m & bit]
+        else:
+            ref = [(m ^ bit, m, below[m]) for m in range(16) if m & bit]
+        assert cl.GEN_ENTRIES[k] == tuple(ref)
+
+
 # --- unfused reference implementations for group_flags and parity_of -------
 
 def _ref_mul_gen_right(x, k):

@@ -157,6 +157,104 @@ def test_snf_random_matrices():
             assert y == 0 or (x != 0 and y % x == 0)
 
 
+def _closure_snf(rows):
+    """The four-closure elimination smith_normal_form replaced: column
+    steps act on the columns of w and right in place.  Returns (left,
+    right, invariant factors) as nested tuples."""
+    from kummer_spin.exact import _ext_gcd
+
+    nr, nc = len(rows), len(rows[0])
+    w = [list(row) for row in rows]
+    left = [[int(i == j) for j in range(nr)] for i in range(nr)]
+    right = [[int(i == j) for j in range(nc)] for i in range(nc)]
+
+    def swap_rows(i, j):
+        w[i], w[j] = w[j], w[i]
+        left[i], left[j] = left[j], left[i]
+
+    def swap_cols(i, j):
+        for row in w + right:
+            row[i], row[j] = row[j], row[i]
+
+    def clear_in_column(k, i):
+        aa, bb = w[k][k], w[i][k]
+        if bb % aa == 0:
+            q = bb // aa
+            w[i] = [x - q * y for x, y in zip(w[i], w[k])]
+            left[i] = [x - q * y for x, y in zip(left[i], left[k])]
+        else:
+            g, s, t = _ext_gcd(aa, bb)
+            u, v = aa // g, bb // g
+            for m in (w, left):
+                mk, mi = m[k], m[i]
+                m[k] = [s * x + t * y for x, y in zip(mk, mi)]
+                m[i] = [u * y - v * x for x, y in zip(mk, mi)]
+
+    def clear_in_row(k, j):
+        aa, bb = w[k][k], w[k][j]
+        if bb % aa == 0:
+            q = bb // aa
+            for row in w + right:
+                row[j] -= q * row[k]
+        else:
+            g, s, t = _ext_gcd(aa, bb)
+            u, v = aa // g, bb // g
+            for row in w + right:
+                ck, cj = row[k], row[j]
+                row[k] = s * ck + t * cj
+                row[j] = u * cj - v * ck
+
+    for k in range(min(nr, nc)):
+        piv = None
+        for i in range(k, nr):
+            for j in range(k, nc):
+                if w[i][j] != 0 and (piv is None
+                                     or abs(w[i][j]) < abs(w[piv[0]][piv[1]])):
+                    piv = (i, j)
+        if piv is None:
+            break
+        swap_rows(k, piv[0])
+        swap_cols(k, piv[1])
+        while True:
+            for i in range(k + 1, nr):
+                if w[i][k] != 0:
+                    clear_in_column(k, i)
+            for j in range(k + 1, nc):
+                if w[k][j] != 0:
+                    clear_in_row(k, j)
+            if any(w[i][k] != 0 for i in range(k + 1, nr)):
+                continue
+            culprit = next((i for i in range(k + 1, nr) for j in range(k + 1, nc)
+                            if w[i][j] % w[k][k] != 0), None)
+            if culprit is None:
+                break
+            w[k] = [x + y for x, y in zip(w[k], w[culprit])]
+            left[k] = [x + y for x, y in zip(left[k], left[culprit])]
+    for k in range(min(nr, nc)):
+        if w[k][k] < 0:
+            w[k] = [-x for x in w[k]]
+            left[k] = [-x for x in left[k]]
+    return (tuple(map(tuple, left)), tuple(map(tuple, right)),
+            tuple(w[k][k] for k in range(min(nr, nc))))
+
+
+def test_snf_transforms_match_closure_reference():
+    # the row steps on the transpose make the same moves as the column
+    # closures did: equal left, right and invariant factors
+    rng = random.Random(2024)
+    cases = [[[0] * nc for _ in range(nr)] for nr, nc in ((1, 1), (3, 5), (8, 8))]
+    for nr in range(1, 9):
+        for nc in range(1, 9):
+            for kind in ("dense", "sparse"):
+                for _ in range(3):
+                    cases.append(random_rows(rng, kind, nr, nc,
+                                             lambda: rng.randint(-1000, 1000)))
+    for rows in cases:
+        snf = smith_normal_form(IntMatrix(rows))
+        assert (snf.left.data, snf.right.data, snf.invariant_factors) \
+            == _closure_snf(rows)
+
+
 def test_rational_kernel_trivial_cases():
     assert len(rational_kernel(RatMatrix([[0, 0], [0, 0]]))) == 2
     assert rational_kernel(RatMatrix([[1, 0, 0], [0, 1, 0], [0, 0, 1]])) == []

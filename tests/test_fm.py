@@ -2,15 +2,18 @@
 
 import random
 
+from kummer_spin.clifford import ALL, degree, merge_sign, mukai_triple
 from kummer_spin.fm import (
     LineBundleClass,
     derivation_conjugation_identity,
     hat_c1_consistency,
     iota_pd,
+    iota_pd_matrix,
     phi_f_ax,
     reflection_lift_identities,
     splus_of_ax,
     transform_ax,
+    transform_matrix,
     verify_equivariance,
     verify_phi_f_action,
     verify_phi_p_identities,
@@ -21,10 +24,11 @@ def test_phi_f_sends_unit_to_chern_character():
     f = LineBundleClass((1, 0, 0, 0, 0, 0))  # c1 = e1^e2
     aut = phi_f_ax(f)
     unit = (1, 0, 0, 0, 0, 0, 0, 0)
-    assert splus_of_ax(aut, unit) == f.mukai_vector()
-    assert f.mukai_vector() == (1, 1, 0, 0, 0, 0, 0, 0)  # c1^2/2 = 0 here
+    mukai_vector = mukai_triple(1, f.c1, f.c1_square_half())
+    assert splus_of_ax(aut, unit) == mukai_vector
+    assert mukai_vector == (1, 1, 0, 0, 0, 0, 0, 0)  # c1^2/2 = 0 here
     g = LineBundleClass((1, 0, 0, 0, 0, 1))
-    assert g.mukai_vector() == (1, 1, 0, 0, 0, 0, 1, 1)
+    assert mukai_triple(1, g.c1, g.c1_square_half()) == (1, 1, 0, 0, 0, 0, 1, 1)
 
 
 def test_phi_f_action_on_v_example():
@@ -88,6 +92,22 @@ def test_transform_ax_is_isometry():
 def test_iota_pd_basics():
     e1 = tuple(int(m == 1) for m in range(16))
     assert iota_pd(e1) == tuple(int(m == 0b1110) for m in range(16))
+
+
+def test_complement_maps_entry_by_entry():
+    # iota . PD sends e_a to the complement with the Poincare sign; the
+    # transform twists it by (-1)^(i(i+1)/2) on degree i
+    ipd, phi = iota_pd_matrix(), transform_matrix()
+    rng = random.Random(12)
+    for a in range(16):
+        sign = merge_sign(a, ALL ^ a)
+        twist = (1, -1, -1, 1)[degree(a) % 4]
+        assert ipd.column(a) == tuple(sign * (m == ALL ^ a) for m in range(16))
+        assert phi.column(a) == tuple(twist * x for x in ipd.column(a))
+    for _ in range(10):
+        v = tuple(rng.randint(-3, 3) for _ in range(16))
+        assert iota_pd(v) == tuple(merge_sign(ALL ^ b, b) * v[ALL ^ b]
+                                   for b in range(16))
 
 
 def test_hat_bundle_c1():

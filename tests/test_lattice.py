@@ -110,6 +110,12 @@ def test_discriminant_group_orders():
         assert pairing.denominator == 1
 
 
+def test_discriminant_group_is_computed_once_per_lattice():
+    lat = IntLattice([[-6]])
+    assert discriminant_group(lat) is discriminant_group(lat)
+    assert discriminant_group(IntLattice([[-6]])) is not discriminant_group(lat)
+
+
 def test_chi_character_on_rank_one():
     lat = IntLattice([[-4]])
     minus = LatticeIsometry(lat, [[-1]])
@@ -123,12 +129,11 @@ def test_chi_and_det_on_perp_lattice():
     # discriminant group with chi(r_u) = -(u,u)/2
     for k in (2, 3, 5):
         lat = IntLattice([[2, 0, 0], [0, -2, 0], [0, 0, -2 * k]])
-        disc = discriminant_group(lat)
         for u, uu in (((1, 0, 0), 2), ((0, 1, 0), -2)):
             r = signed_reflection(lat, u)
             assert det_character(r) == uu // 2
-            assert chi_character(lat, r, disc) == -uu // 2
-            assert det_character(r) * chi_character(lat, r, disc) == -1
+            assert chi_character(lat, r) == -uu // 2
+            assert det_character(r) * chi_character(lat, r) == -1
 
 
 def test_ort_character_minus_id():

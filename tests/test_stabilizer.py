@@ -20,6 +20,7 @@ from kummer_spin.stabilizer import (
     minus_one_generator,
     mod_n_rep,
     pair_reflection_generator,
+    random_pair_reflection,
     random_sl4,
     s_n,
     sample_generators,
@@ -74,9 +75,8 @@ def test_pair_reflection_generator():
     g2 = pair_reflection_generator(a, a, n)
     assert g2.perp_action().matrix.is_identity()
     lat = bbf_lattice(n)
-    disc = discriminant_group(lat)
     iso = g.perp_action()
-    assert det_character(iso) * chi_character(lat, iso, disc) == 1
+    assert det_character(iso) * chi_character(lat, iso) == 1
 
 
 def test_pair_reflection_rejects_bad_inputs():
@@ -266,6 +266,16 @@ def test_find_h2_with_square_draws_as_the_loops_did():
                 target, rng, orthogonal_to=h6), seed) == old
             found.append(old[0])
     assert found.count(None) == 2
+
+
+def test_random_pair_reflection_draws_two_classes_in_turn():
+    for n, h6 in ((3, None), (4, (1, 0, 0, 0, 0, 1))):
+        rng, ref = random.Random(8), random.Random(8)
+        g = random_pair_reflection(n, rng, orthogonal_to=h6)
+        a1 = find_h2_with_square(2 * n - 2, ref, h6)
+        a2 = find_h2_with_square(2 * n - 2, ref, h6)
+        assert (g.kind, g.data) == ("pair_reflection", (a1, a2))
+        assert rng.getstate() == ref.getstate()
 
 
 def test_perp_discriminant_group_is_cyclic():

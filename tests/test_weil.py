@@ -73,6 +73,14 @@ def test_weil_structure_zero_h():
     assert ws.theta_prime.is_zero()
 
 
+def test_weil_structure_rejects_non_integral_coordinates():
+    # a Fraction coordinate is not truncated to (0, 1, 0, 0, 0, 0, 1, 0)
+    with pytest.raises(ValueError, match="not an integer"):
+        weil_structure(S3, (0, Fraction(3, 2), 0, 0, 0, 0, Fraction(3, 2), 0))
+    ws = weil_structure(S3, tuple(map(Fraction, H_CANON)))
+    assert ws.h == H_CANON and all(type(x) is int for x in ws.h)
+
+
 def test_weil_structure_rejects_bad_inputs():
     with pytest.raises(ValueError):
         weil_structure(S3, mukai_triple(1, [0] * 6, 1))  # not orthogonal
